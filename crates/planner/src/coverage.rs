@@ -7,7 +7,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use wasabi_analysis::loops::RetryLocation;
 use wasabi_inject::CoverageRecorder;
-use wasabi_lang::index::{ClassId, LExpr, LStmt};
+use wasabi_lang::index::{ClassId, LExpr, LStmt, ProgramIndex};
 use wasabi_lang::intern::Symbol;
 use wasabi_lang::project::{CallSite, FileId, MethodId, Project};
 use wasabi_vm::runner::{run_test, RunOptions};
@@ -147,7 +147,9 @@ fn profile_chunk(
 ///   regardless of what receiver typing could prove (dynamic dispatch
 ///   always lands on a method of the called name, so the name-set is a
 ///   superset of any resolution);
-/// - `new C(...)` edges to `C`'s (possibly inherited) `init` constructor;
+/// - `new C(...)` edges to `C`'s (possibly inherited) `init` constructor,
+///   and so does running a test, which instantiates the test's class
+///   before invoking the test method;
 /// - global builtins never invoke user methods (they fault on unknown
 ///   names), so `GlobalCall`s contribute no edges beyond their argument
 ///   expressions;
@@ -155,7 +157,7 @@ fn profile_chunk(
 ///   bodies, so if **any** class's initialiser expression contains a call
 ///   or an instantiation the prefilter refuses (`None`) rather than model
 ///   it. (Corpus and example programs initialise fields with literals.)
-fn reachable_test_mask(
+pub fn reachable_test_mask(
     project: &Project,
     sites: &BTreeSet<CallSite>,
     tests: &[(FileId, MethodId)],
@@ -169,64 +171,7 @@ fn reachable_test_mask(
         }
     }
 
-    // Per-method facts from one body walk: called names, instantiated
-    // classes, and whether the body contains a target call site.
-    let n = index.methods.len();
-    let mut called_names: Vec<BTreeSet<Symbol>> = vec![BTreeSet::new(); n];
-    let mut instantiated: Vec<BTreeSet<ClassId>> = vec![BTreeSet::new(); n];
-    let mut hits_target = vec![false; n];
-    let mut methods_by_name: BTreeMap<Symbol, Vec<u32>> = BTreeMap::new();
-    for (m, method) in index.methods.iter().enumerate() {
-        methods_by_name
-            .entry(method.name)
-            .or_default()
-            .push(m as u32);
-        walk_stmts(&method.body, &mut |expr| match expr {
-            LExpr::Call { site, method, .. } => {
-                called_names[m].insert(*method);
-                if sites.contains(site) {
-                    hits_target[m] = true;
-                }
-            }
-            LExpr::NewObj { class, .. } => {
-                instantiated[m].insert(*class);
-            }
-            _ => {}
-        });
-    }
-
-    // Reverse-reachability BFS from the site-bearing methods over the
-    // reversed name/constructor edges.
-    let mut reverse: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for m in 0..n {
-        for name in &called_names[m] {
-            if let Some(targets) = methods_by_name.get(name) {
-                for &t in targets {
-                    reverse[t as usize].push(m as u32);
-                }
-            }
-        }
-        for &class in &instantiated[m] {
-            if let Some(ctor) = index.resolve_dispatch(class, index.wk.init) {
-                reverse[ctor as usize].push(m as u32);
-            }
-        }
-    }
-    let mut reach = hits_target;
-    let mut frontier: Vec<u32> = reach
-        .iter()
-        .enumerate()
-        .filter_map(|(m, &r)| r.then_some(m as u32))
-        .collect();
-    while let Some(m) = frontier.pop() {
-        for &caller in &reverse[m as usize] {
-            if !reach[caller as usize] {
-                reach[caller as usize] = true;
-                frontier.push(caller);
-            }
-        }
-    }
-
+    let reach = reverse_graph(index, sites).reach();
     Some(
         tests
             .iter()
@@ -234,17 +179,143 @@ fn reachable_test_mask(
                 // A test that cannot be mapped back to a compiled method
                 // executes unconditionally: degrade to profiling, never to
                 // silently skipping.
-                let resolved = index
-                    .class_by_name(&test.class)
-                    .zip(index.interner.lookup(&test.name))
-                    .and_then(|(class, name)| index.resolve_dispatch(class, name));
+                let resolved = index.class_by_name(&test.class).and_then(|class| {
+                    let name = index.interner.lookup(&test.name)?;
+                    Some((class, index.resolve_dispatch(class, name)?))
+                });
                 match resolved {
-                    Some(m) => reach[m as usize],
+                    Some((class, m)) => {
+                        reach[m as usize]
+                            || index
+                                .resolve_dispatch(class, index.wk.init)
+                                .is_some_and(|ctor| reach[ctor as usize])
+                    }
                     None => true,
                 }
             })
             .collect(),
     )
+}
+
+/// The prefilter's reverse call graph in compressed sparse row form.
+/// Nodes `0..methods` are the compiled methods (`ProgramIndex::methods`
+/// indices); the nodes after them are one vertex per distinct method name.
+/// Edges run from a callee towards everything that may call it:
+///
+/// - each method → its name's vertex;
+/// - each name vertex → every method whose body calls that name;
+/// - each `init` constructor → every method instantiating its class.
+///
+/// A call by name thus still reaches every method of that name, through
+/// one extra hop, while the edge count stays linear in methods plus
+/// distinct calls. Linking each method directly to every caller of its
+/// name instead costs the product of the two, which is quadratic on wide
+/// name buckets (generated suites define the same helper names thousands
+/// of times).
+struct ReverseGraph {
+    /// `targets[offsets[v]..offsets[v + 1]]` are the successors of `v`.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    /// Methods whose body contains an instrumented call site.
+    roots: Vec<u32>,
+}
+
+impl ReverseGraph {
+    /// Every node reachable from a root, as a per-node flag.
+    fn reach(&self) -> Vec<bool> {
+        let mut reach = vec![false; self.offsets.len() - 1];
+        for &root in &self.roots {
+            reach[root as usize] = true;
+        }
+        let mut frontier = self.roots.clone();
+        while let Some(v) = frontier.pop() {
+            let (lo, hi) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
+            for &next in &self.targets[lo as usize..hi as usize] {
+                if !reach[next as usize] {
+                    reach[next as usize] = true;
+                    frontier.push(next);
+                }
+            }
+        }
+        reach
+    }
+}
+
+/// Builds the [`ReverseGraph`] of `index` rooted at the methods whose
+/// bodies contain one of `sites`, from one walk over every method body.
+fn reverse_graph(index: &ProgramIndex, sites: &BTreeSet<CallSite>) -> ReverseGraph {
+    const NONE: u32 = u32::MAX;
+    let methods = index.methods.len();
+    let mut name_vertex = vec![NONE; index.interner.len()];
+    let mut nodes = methods as u32;
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(2 * methods);
+    for (m, method) in index.methods.iter().enumerate() {
+        let vertex = &mut name_vertex[method.name.index()];
+        if *vertex == NONE {
+            *vertex = nodes;
+            nodes += 1;
+        }
+        edges.push((m as u32, *vertex));
+    }
+
+    let mut roots = Vec::new();
+    let (mut called, mut instantiated): (Vec<Symbol>, Vec<ClassId>) = (Vec::new(), Vec::new());
+    for (m, method) in index.methods.iter().enumerate() {
+        called.clear();
+        instantiated.clear();
+        let mut hits_target = false;
+        walk_stmts(&method.body, &mut |expr| match expr {
+            LExpr::Call { site, method, .. } => {
+                called.push(*method);
+                hits_target |= sites.contains(site);
+            }
+            LExpr::NewObj { class, .. } => instantiated.push(*class),
+            _ => {}
+        });
+        if hits_target {
+            roots.push(m as u32);
+        }
+        called.sort_unstable();
+        called.dedup();
+        // A name no method defines has no vertex: such a call faults at
+        // run time and reaches nothing.
+        edges.extend(
+            called
+                .iter()
+                .map(|name| name_vertex[name.index()])
+                .filter(|&vertex| vertex != NONE)
+                .map(|vertex| (vertex, m as u32)),
+        );
+        instantiated.sort_unstable();
+        instantiated.dedup();
+        edges.extend(
+            instantiated
+                .iter()
+                .filter_map(|&class| index.resolve_dispatch(class, index.wk.init))
+                .map(|ctor| (ctor, m as u32)),
+        );
+    }
+
+    // Counting sort of the edge list by source node.
+    let mut offsets = vec![0u32; nodes as usize + 1];
+    for &(from, _) in &edges {
+        offsets[from as usize + 1] += 1;
+    }
+    for v in 0..nodes as usize {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut cursor = offsets.clone();
+    let mut targets = vec![0u32; edges.len()];
+    for &(from, to) in &edges {
+        let slot = &mut cursor[from as usize];
+        targets[*slot as usize] = to;
+        *slot += 1;
+    }
+    ReverseGraph {
+        offsets,
+        targets,
+        roots,
+    }
 }
 
 /// Whether an expression contains user-code invocation (a dispatchable
@@ -523,6 +594,87 @@ mod tests {
             reachable_test_mask(&p, &sites, &p.tests()).is_none(),
             "field-initialiser instantiation disables the prefilter"
         );
+    }
+
+    #[test]
+    fn prefilter_keeps_tests_whose_class_constructor_reaches_a_site() {
+        // Running a test instantiates its class first, so T's constructor
+        // covers the retry site although the test body calls nothing.
+        let src = "exception E;\n\
+             class C {\n\
+               method op() throws E { return 1; }\n\
+               method run() {\n\
+                 for (var retry = 0; retry < 3; retry = retry + 1) {\n\
+                   try { return this.op(); } catch (E e) { sleep(1); }\n\
+                 }\n\
+                 return null;\n\
+               }\n\
+             }\n\
+             class T {\n\
+               method init() { var c = new C(); c.run(); }\n\
+               test tInit() { assert(true); }\n\
+             }\n\
+             class U { test tFiller() { assert(true); } }";
+        let p = Project::compile("t", vec![("c.jav", src)]).expect("compile");
+        let locations = locations_of(&p);
+        assert_eq!(locations.len(), 1);
+        let sites: BTreeSet<CallSite> = locations.iter().map(|l| l.site).collect();
+        let tests = p.tests();
+        let mask = reachable_test_mask(&p, &sites, &tests).expect("prefilter enabled");
+        let verdicts: BTreeMap<&str, bool> = tests
+            .iter()
+            .zip(&mask)
+            .map(|((_, t), &keep)| (t.name.as_str(), keep))
+            .collect();
+        assert!(verdicts["tInit"], "test-class constructor keeps the test");
+        assert!(!verdicts["tFiller"]);
+        let profile = profile_coverage(&p, &locations, &RunOptions::default());
+        assert!(profile.per_test.contains_key(&MethodId::new("T", "tInit")));
+    }
+
+    #[test]
+    fn prefilter_graph_is_linear_on_wide_name_buckets() {
+        // 300 classes define `helper`, and 300 methods call it on a
+        // receiver of unknown type. Linking every `helper` to every caller
+        // would take 300 x 300 = 90,000 edges; the name vertex takes one
+        // edge per method plus one per distinct call.
+        const WIDTH: usize = 300;
+        let mut src = String::new();
+        for i in 0..WIDTH {
+            src.push_str(&format!(
+                "class H{i} {{ method helper() {{ return {i}; }} }}\n"
+            ));
+            src.push_str(&format!(
+                "class U{i} {{ method use{i}(x) {{ return x.helper(); }} }}\n"
+            ));
+        }
+        let p = Project::compile("t", vec![("c.jav", src)]).expect("compile");
+        let index = &p.index;
+        let (mut call_edges, mut ctor_edges) = (0, 0);
+        for method in &index.methods {
+            let mut called = BTreeSet::new();
+            let mut instantiated = BTreeSet::new();
+            walk_stmts(&method.body, &mut |expr| match expr {
+                LExpr::Call { method, .. } => {
+                    called.insert(*method);
+                }
+                LExpr::NewObj { class, .. } => {
+                    instantiated.insert(*class);
+                }
+                _ => {}
+            });
+            call_edges += called.len();
+            ctor_edges += instantiated.len();
+        }
+        assert_eq!(call_edges, WIDTH);
+        let edges = reverse_graph(index, &BTreeSet::new()).targets.len();
+        assert!(
+            edges <= index.methods.len() + call_edges + ctor_edges,
+            "{edges} edges for {} methods, {call_edges} call edges and {ctor_edges} \
+             constructor edges",
+            index.methods.len()
+        );
+        assert!(edges * 50 < WIDTH * WIDTH, "{edges} edges is not linear");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   would leave it, resume) whose report must be byte-identical to the
 //!   uninterrupted baseline.
 //! - `bench` — full engine-throughput benchmark over the repro corpus
-//!   (`wasabi bench`, serial and `--jobs 4`); composes `BENCH_PR6.json`
-//!   at the repo root from the recorded baseline
+//!   (`wasabi bench`, serial and `--jobs 4`); composes
+//!   `target/BENCH_PR6.json` from the recorded baseline
 //!   (`scripts/bench_baseline.json`, written once with
 //!   `bench --record-baseline`) and the current measurement.
 //! - `bench --smoke` — reduced variant for the CI gate: verifies the
@@ -51,14 +51,14 @@
 //!   set (100% recall, identical order and identity) while executing at
 //!   least 40% fewer runs in aggregate; then a paper-scale bench pair
 //!   (`--profile-cache` cold, then warm) must show the warm cache cutting
-//!   total wall time by at least 30%. Writes `BENCH_PR8.json` with the
+//!   total wall time by at least 30%. Writes `target/BENCH_PR8.json` with the
 //!   per-app fixed-vs-adaptive run counts and the cold/warm walls.
 //! - `repair-gate` — the auto-repair gate: over all eight corpus apps
 //!   (small scale, amplification seeds included), `wasabi repair` must
 //!   fix at least 80% of the fixable seeded W001/W002/A001 bugs within
 //!   the default 3 attempts, fix at least one bug in every class that
 //!   seeds any, and emit byte-identical reports for `--jobs 1` and
-//!   `--jobs 4`. Writes `BENCH_PR9.json` with the per-app and per-class
+//!   `--jobs 4`. Writes `target/BENCH_PR9.json` with the per-app and per-class
 //!   fix rates and the attempts-vs-fix-rate curve.
 //! - `lint-gate` — the retry-policy abstract-interpretation gate: over
 //!   all eight corpus apps (small scale, amplification AND policy seeds
@@ -66,8 +66,15 @@
 //!   byte-identical between `--jobs 1` and `--jobs 4`, and the
 //!   W004/W005/W006 findings must score at least 0.9 precision and
 //!   recall per code against the `policy_truth.json` sidecars. Writes
-//!   `BENCH_PR10.json` with per-app static-sweep wall times and the
+//!   `target/BENCH_PR10.json` with per-app static-sweep wall times and the
 //!   per-code score table.
+//! - `repro-gate` — the paper-fidelity gate: `repro --scale paper all`
+//!   (Tables 1–6, Figures 3–4, the §2.5 and §4 statistics) must
+//!   reproduce the checked-in `repro_paper_output.txt` byte for byte.
+//!
+//! The `BENCH_PR*.json` files at the repository root are the records each
+//! change committed; the gates write their fresh measurements under
+//! `target/` instead of overwriting them.
 
 use std::env;
 use std::fs;
@@ -76,7 +83,7 @@ use std::process::{exit, Command};
 
 fn main() {
     let task = env::args().nth(1).unwrap_or_else(|| {
-        eprintln!("usage: cargo xtask <tier1|ci|smoke|bench|digest|lint|serve-smoke|chaos-shard-smoke|adaptive-gate|repair-gate|lint-gate>");
+        eprintln!("usage: cargo xtask <tier1|ci|smoke|bench|digest|lint|serve-smoke|chaos-shard-smoke|adaptive-gate|repair-gate|lint-gate|repro-gate>");
         exit(2);
     });
     let flags: Vec<String> = env::args().skip(2).collect();
@@ -141,9 +148,16 @@ fn main() {
             run_stage("build --release --bin wasabi", &["build", "--release", "--bin", "wasabi"]);
             policy_lint_gate();
         }
+        "repro-gate" => {
+            run_stage(
+                "build --release -p wasabi-bench --bin repro",
+                &["build", "--release", "-p", "wasabi-bench", "--bin", "repro"],
+            );
+            repro_gate();
+        }
         other => {
             eprintln!(
-                "unknown task `{other}`; expected tier1, ci, smoke, bench, digest, lint, serve-smoke, chaos-shard-smoke, adaptive-gate, repair-gate, or lint-gate"
+                "unknown task `{other}`; expected tier1, ci, smoke, bench, digest, lint, serve-smoke, chaos-shard-smoke, adaptive-gate, repair-gate, lint-gate, or repro-gate"
             );
             exit(2);
         }
@@ -291,10 +305,11 @@ fn smoke() {
 const BASELINE_PATH: &str = "scripts/bench_baseline.json";
 const DIGEST_PATH: &str = "scripts/seed_report_digest.txt";
 const LINT_BASELINE_PATH: &str = "scripts/lint_baseline.txt";
-const BENCH_OUT: &str = "BENCH_PR6.json";
-const ADAPTIVE_BENCH_OUT: &str = "BENCH_PR8.json";
-const REPAIR_BENCH_OUT: &str = "BENCH_PR9.json";
-const POLICY_BENCH_OUT: &str = "BENCH_PR10.json";
+const REPRO_OUTPUT_PATH: &str = "repro_paper_output.txt";
+const BENCH_OUT: &str = "target/BENCH_PR6.json";
+const ADAPTIVE_BENCH_OUT: &str = "target/BENCH_PR8.json";
+const REPAIR_BENCH_OUT: &str = "target/BENCH_PR9.json";
+const POLICY_BENCH_OUT: &str = "target/BENCH_PR10.json";
 /// Aggregate and per-class fix-rate floor (percent) for the repair gate.
 const REPAIR_RATE_FLOOR: u64 = 80;
 /// Apps whose `wasabi test --json` reports are digest-pinned.
@@ -819,7 +834,7 @@ fn serve_smoke() {
 ///    fresh `--profile-cache` run twice: the warm (cache-hit) wall must
 ///    be ≤ 70% of the cold wall.
 ///
-/// Writes `BENCH_PR8.json` with the per-app run counts and both walls.
+/// Writes `target/BENCH_PR8.json` with the per-app run counts and both walls.
 fn adaptive_gate() {
     eprintln!("==> adaptive gate: fixed-grid recall at a reduced run budget");
     let wasabi = release_wasabi()
@@ -1148,7 +1163,7 @@ fn repair_gate() {
 /// byte-identical between `--jobs 1` and `--jobs 4`, and score the
 /// W004/W005/W006 diagnostics against the `policy_truth.json` sidecars —
 /// at least 0.9 precision and recall per code, the same bar the A001
-/// test gate sets. Writes `BENCH_PR10.json` with per-app static-sweep
+/// test gate sets. Writes `target/BENCH_PR10.json` with per-app static-sweep
 /// wall times and the per-code score table.
 fn policy_lint_gate() {
     eprintln!("==> lint gate: W004-W006 precision/recall over the policy-seeded corpus");
@@ -1302,6 +1317,49 @@ fn policy_lint_gate() {
     fs::write(POLICY_BENCH_OUT, doc)
         .unwrap_or_else(|e| fail(&format!("write {POLICY_BENCH_OUT}: {e}")));
     eprintln!("lint gate: OK (wrote {POLICY_BENCH_OUT})");
+}
+
+/// The paper-fidelity gate: `repro --scale paper all` must print exactly
+/// the checked-in [`REPRO_OUTPUT_PATH`]. EXPERIMENTS.md calls its Table 3
+/// counts, Figure 3 counts and overlap, and FP taxonomy exact by
+/// measurement; a change that moves any of them must re-record the file
+/// (`target/release/repro --scale paper all > repro_paper_output.txt`)
+/// and say why.
+fn repro_gate() {
+    eprintln!("==> repro gate: repro --scale paper all vs {REPRO_OUTPUT_PATH}");
+    let repro = PathBuf::from("target/release/repro");
+    if !repro.exists() {
+        fail(&format!("{} not built", repro.display()));
+    }
+    let output = Command::new(&repro)
+        .args(["--scale", "paper", "all"])
+        .output()
+        .unwrap_or_else(|e| fail(&format!("spawn repro: {e}")));
+    if !output.status.success() {
+        eprintln!("{}", String::from_utf8_lossy(&output.stderr));
+        fail("repro --scale paper all failed");
+    }
+    let recorded = fs::read_to_string(REPRO_OUTPUT_PATH)
+        .unwrap_or_else(|e| fail(&format!("read {REPRO_OUTPUT_PATH}: {e}")));
+    if output.stdout != recorded.as_bytes() {
+        let printed = String::from_utf8_lossy(&output.stdout);
+        let same = recorded
+            .lines()
+            .zip(printed.lines())
+            .take_while(|(want, got)| want == got)
+            .count();
+        let want = recorded.lines().nth(same).unwrap_or("<end of output>");
+        let got = printed.lines().nth(same).unwrap_or("<end of output>");
+        fail(&format!(
+            "repro gate: output differs from {REPRO_OUTPUT_PATH} at line {}:\n  \
+             recorded: {want}\n  printed:  {got}",
+            same + 1
+        ));
+    }
+    eprintln!(
+        "repro gate: OK ({} lines identical to {REPRO_OUTPUT_PATH})",
+        recorded.lines().count()
+    );
 }
 
 /// Parses the first `<key> "<string>"` after `doc`'s start (an empty key

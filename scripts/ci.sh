@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point. Ten stages:
+# CI entry point. Eleven stages:
 #
 #   1. tier-1: the gate every change must pass — release build + full test
 #      suite with default features, exactly what `cargo tier1` runs. Also
@@ -38,18 +38,25 @@
 #      apps must report the exact fixed-grid bug set while executing at
 #      least 40% fewer runs in aggregate, and a paper-scale bench with a
 #      warm --profile-cache must cut the cold wall by at least 30%
-#      (writes BENCH_PR8.json).
+#      (writes target/BENCH_PR8.json).
 #   9. repair gate: `wasabi repair` over all eight corpus apps (small
 #      scale, amplification seeds included) must fix at least 80% of the
 #      fixable seeded W001/W002/A001 bugs — in aggregate and per class —
 #      within the default 3 attempts, with byte-identical reports for
-#      --jobs 1 and --jobs 4 (writes BENCH_PR9.json).
+#      --jobs 1 and --jobs 4 (writes target/BENCH_PR9.json).
 #  10. lint gate (retry-policy abstract interpretation): `wasabi lint
 #      --json --cross-check` over all eight corpus apps (small scale,
 #      amplification and policy seeds included) must be byte-identical
 #      between --jobs 1 and --jobs 4, and the W004/W005/W006 findings
 #      must score at least 0.9 precision and recall per code against the
-#      policy_truth.json sidecars (writes BENCH_PR10.json).
+#      policy_truth.json sidecars (writes target/BENCH_PR10.json).
+#  11. repro gate (paper fidelity): `repro --scale paper all` must print
+#      the checked-in repro_paper_output.txt byte for byte, pinning the
+#      Table 3 counts, the Figure 3 counts and overlap, and the FP
+#      taxonomy that EXPERIMENTS.md calls exact by measurement.
+#
+# Gates write their measurements under target/; the BENCH_PR*.json files
+# at the repository root are committed records and CI never rewrites them.
 #
 # Everything resolves offline: the workspace has no registry dependencies.
 set -euo pipefail
@@ -87,5 +94,8 @@ cargo xtask repair-gate
 
 echo "== stage 10: lint gate (W004-W006 precision/recall, cross-check matrix) =="
 cargo xtask lint-gate
+
+echo "== stage 11: repro gate (paper tables byte-identical to repro_paper_output.txt) =="
+cargo xtask repro-gate
 
 echo "== ci: all stages passed =="

@@ -796,3 +796,226 @@ fn may_throw_over_approximates_vm_exceptions() {
         }
     }
 }
+
+// ---- Coverage-prefilter properties -------------------------------------------
+
+/// Retry coordinators `R0..R{count}`: each defines the same `op`/`run`
+/// pair, so a call by either name may land on any of them.
+fn gen_retry_classes(count: usize) -> String {
+    (0..count)
+        .map(|r| {
+            format!(
+                "class R{r} {{\n\
+                   method op(p) throws Transient {{\n\
+                     if (p < {r}) {{ throw new Transient(\"flaky\"); }}\n\
+                     return 1;\n\
+                   }}\n\
+                   method run(p) {{\n\
+                     for (var retry = 0; retry < 3; retry = retry + 1) {{\n\
+                       try {{ return this.op(p); }} catch (Transient e) {{ sleep(1); }}\n\
+                     }}\n\
+                     return null;\n\
+                   }}\n\
+                 }}\n"
+            )
+        })
+        .collect()
+}
+
+/// A [`gen_throwy_method`] body for `m{index}` of a worker class, preceded
+/// by one statement the prefilter can only resolve by name: a call on a
+/// receiver of unknown type (built by `F.make`), an instantiation whose
+/// constructor may reach a retry loop, or a direct coordinator call. Calls
+/// still only go to higher-numbered methods, so programs terminate.
+fn gen_multiclass_method(
+    rng: &mut Rng,
+    index: usize,
+    methods: usize,
+    classes: usize,
+    retries: usize,
+) -> String {
+    let extra = match rng.below(5) {
+        0 if index + 1 < methods => {
+            let callee = rng.range(index as i64 + 1, methods as i64);
+            format!("var o = new F().make(p); o.m{callee}((p + 1));")
+        }
+        1 => format!("var k = new K{}();", rng.below(classes as u64)),
+        2 => format!("var r = new R{}(); r.run(p);", rng.below(retries as u64)),
+        _ => String::new(),
+    };
+    format!("{extra}\n{}", gen_throwy_method(rng, index, methods, 3))
+}
+
+/// A program for the prefilter property: `classes` worker classes
+/// `K{c}` that all define `m0..m{methods}`, retry coordinators, a factory
+/// `F` whose `make` hides the receiver's class, a relay `G`, and test
+/// classes mixing filler tests with tests that reach a retry loop by
+/// name, through constructors (worker and test-class `init`), or through
+/// the factory. With `field_calls`, one field initialiser runs user code:
+/// `T0.w` either constructs `K0`, whose `init` then reaches a retry loop,
+/// or calls the relay, so `T0.tField` covers a site through the
+/// initialiser alone.
+fn gen_prefilter_program(rng: &mut Rng, field_calls: bool) -> String {
+    let classes = rng.range(2, 6) as usize;
+    let methods = rng.range(2, 5) as usize;
+    let retries = rng.range(1, 3) as usize;
+    let mut src =
+        String::from("exception E0;\nexception E1;\nexception E2;\nexception Transient;\n");
+    src.push_str(&gen_retry_classes(retries));
+    src.push_str("class G { method relay(p) { var r = new R0(); return r.run(p); } }\n");
+    let (small, large) = (rng.below(classes as u64), rng.below(classes as u64));
+    src.push_str(&format!(
+        "class F {{ method make(p) {{ if (p < 4) {{ return new K{small}(); }} return new K{large}(); }} }}\n"
+    ));
+    // A constructor may reach a retry loop, directly or through the relay,
+    // but never instantiates a worker, so construction terminates.
+    let gen_init = |rng: &mut Rng, forced: bool| -> String {
+        match if forced { 0 } else { rng.below(4) } {
+            0 => format!(
+                " method init() {{ var r = new R{}(); r.run(0); }}\n",
+                rng.below(retries as u64)
+            ),
+            1 => " method init() { var g = new G(); g.relay(1); }\n".to_string(),
+            2 => " method init() { log(\"init\"); }\n".to_string(),
+            _ => String::new(),
+        }
+    };
+    for c in 0..classes {
+        src.push_str(&format!("class K{c} {{\n field n = {c};\n"));
+        src.push_str(&gen_init(rng, field_calls && c == 0));
+        for i in 0..methods {
+            let body = gen_multiclass_method(rng, i, methods, classes, retries);
+            src.push_str(&format!(" method m{i}(p) {{ {body}\n return 0; }}\n"));
+        }
+        src.push_str("}\n");
+    }
+    for t in 0..rng.range(1, 4) {
+        src.push_str(&format!("class T{t} {{\n"));
+        if field_calls && t == 0 {
+            let init = if rng.below(2) == 0 {
+                "new K0()"
+            } else {
+                "new G().relay(0)"
+            };
+            src.push_str(&format!(
+                " field w = {init};\n test tField() {{ assert(true); }}\n"
+            ));
+        } else {
+            src.push_str(" field n = 0;\n");
+        }
+        if rng.below(4) == 0 {
+            src.push_str(&gen_init(rng, false));
+        }
+        for n in 0..rng.range(2, 7) {
+            let p = rng.below(8);
+            let body = match rng.below(6) {
+                0 => format!(
+                    "var k = new K{}(); k.m{}({p});",
+                    rng.below(classes as u64),
+                    rng.below(methods as u64)
+                ),
+                1 => format!(
+                    "var o = new F().make({p}); o.m{}({p});",
+                    rng.below(methods as u64)
+                ),
+                2 => format!("var k = new K{}();", rng.below(classes as u64)),
+                3 => format!("var r = new R{}(); r.run({p});", rng.below(retries as u64)),
+                4 => "sleep(1);".to_string(),
+                _ => "assert(true);".to_string(),
+            };
+            src.push_str(&format!(" test t{n}() {{ {body} }}\n"));
+        }
+        src.push_str("}\n");
+    }
+    src
+}
+
+/// The coverage prefilter is sound: on random multi-class programs (wide
+/// name buckets, receivers of unknown type, constructors that reach retry
+/// loops, filler tests) every test the VM shows covering a site is kept,
+/// and `profile_coverage` records exactly the coverage of an exhaustive
+/// profile that runs every test. Programs whose field initialisers run
+/// user code make the prefilter refuse, and the profile still matches.
+/// (`profile_virtual_ms` is not compared: skipped tests contribute none.)
+#[test]
+fn coverage_prefilter_matches_exhaustive_profile() {
+    use std::collections::BTreeMap;
+    use wasabi::analysis::loops::{all_retry_locations, LoopQueryOptions};
+    use wasabi::analysis::resolve::ProjectIndex;
+    use wasabi::inject::CoverageRecorder;
+    use wasabi::lang::project::{CallSite, MethodId, Project};
+    use wasabi::planner::coverage::{profile_coverage, reachable_test_mask};
+    use wasabi::vm::runner::{run_test, RunOptions};
+
+    let (mut skipped, mut refused, mut field_covered) = (0usize, 0usize, 0usize);
+    for case in 0..80u64 {
+        let mut rng = Rng::new(0xc0fe_0000 + case);
+        let field_calls = case % 4 == 3;
+        let source = gen_prefilter_program(&mut rng, field_calls);
+        let project = Project::compile("prop", vec![("c.jav", source.clone())])
+            .unwrap_or_else(|e| panic!("[case {case}] compile failed: {e:?}\n{source}"));
+        let locations: Vec<_> =
+            all_retry_locations(&ProjectIndex::build(&project), &LoopQueryOptions::default())
+                .into_iter()
+                .flat_map(|(_, locs)| locs)
+                .collect();
+        assert!(
+            !locations.is_empty(),
+            "[case {case}] no retry location\n{source}"
+        );
+        let sites: Vec<CallSite> = locations.iter().map(|l| l.site).collect();
+        let options = RunOptions::default();
+
+        // The exhaustive profile: every test runs, in suite order.
+        let tests = project.tests();
+        let mut exhaustive: BTreeMap<MethodId, Vec<CallSite>> = BTreeMap::new();
+        let mut site_to_tests: BTreeMap<CallSite, Vec<MethodId>> = BTreeMap::new();
+        let mut recorder = CoverageRecorder::new(sites.iter().copied());
+        for (_, test) in &tests {
+            recorder.reset();
+            run_test(&project, test, &mut recorder, &options);
+            let covered = recorder.covered();
+            for site in &covered {
+                site_to_tests.entry(*site).or_default().push(test.clone());
+            }
+            if !covered.is_empty() {
+                exhaustive.insert(test.clone(), covered);
+            }
+        }
+
+        let mask = reachable_test_mask(&project, &sites.iter().copied().collect(), &tests);
+        if field_calls {
+            assert!(
+                mask.is_none(),
+                "[case {case}] field initialiser did not disable the prefilter\n{source}"
+            );
+            refused += 1;
+            field_covered += exhaustive.contains_key(&MethodId::new("T0", "tField")) as usize;
+        } else {
+            let mask = mask.unwrap_or_else(|| panic!("[case {case}] prefilter refused\n{source}"));
+            for ((_, test), keep) in tests.iter().zip(&mask) {
+                assert!(
+                    *keep || !exhaustive.contains_key(test),
+                    "[case {case}] prefilter skips {test:?}, which covers {:?}\n{source}",
+                    exhaustive[test]
+                );
+            }
+            skipped += mask.iter().filter(|keep| !**keep).count();
+        }
+
+        let profile = profile_coverage(&project, &locations, &options);
+        assert_eq!(profile.tests_total, tests.len(), "[case {case}]");
+        assert_eq!(profile.per_test, exhaustive, "[case {case}]\n{source}");
+        assert_eq!(
+            profile.site_to_tests, site_to_tests,
+            "[case {case}]\n{source}"
+        );
+    }
+    // The property is not vacuous: the prefilter skipped filler, and the
+    // refusal cases covered a site through a field initialiser alone.
+    assert!(skipped > 20, "prefilter skipped only {skipped} tests");
+    assert_eq!(
+        field_covered, refused,
+        "every refusal case covers T0.tField"
+    );
+}
