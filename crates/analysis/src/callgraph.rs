@@ -20,7 +20,7 @@
 //! runs and worker counts.
 
 use std::collections::HashMap;
-use wasabi_lang::index::{ClassId, FieldInit, LExpr, LStmt, ProgramIndex, Slot};
+use wasabi_lang::index::{visit_exprs, ClassId, FieldInit, LExpr, LStmt, ProgramIndex, Slot};
 use wasabi_lang::intern::Symbol;
 use wasabi_lang::project::{CallSite, Project};
 
@@ -56,22 +56,34 @@ impl CallGraph {
         let mut callees = Vec::with_capacity(index.methods.len());
         for method in &index.methods {
             let locals = infer_local_types(&method.body);
-            let mut resolver = CallResolver {
+            let resolver = CallResolver {
                 index,
                 field_types: &field_types,
                 locals: &locals,
                 owner: method.owner,
-                out: Vec::new(),
             };
-            resolver.walk_stmts(&method.body);
-            let mut adjacent: Vec<u32> = resolver
-                .out
+            // Children before parents: a call nested in another call's
+            // receiver or arguments is listed first, in evaluation order.
+            let mut out = Vec::new();
+            visit_exprs(&method.body, &mut |expr| {
+                if let LExpr::Call {
+                    site, recv, method, ..
+                } = expr
+                {
+                    out.push(ResolvedCall {
+                        site: *site,
+                        method: *method,
+                        targets: resolver.resolve(recv.as_deref(), *method),
+                    });
+                }
+            });
+            let mut adjacent: Vec<u32> = out
                 .iter()
                 .flat_map(|c| c.targets.iter().copied())
                 .collect();
             adjacent.sort_unstable();
             adjacent.dedup();
-            calls.push(resolver.out);
+            calls.push(out);
             callees.push(adjacent);
         }
         CallGraph { calls, callees }
@@ -252,7 +264,6 @@ struct CallResolver<'a> {
     field_types: &'a HashMap<(ClassId, Symbol), ClassId>,
     locals: &'a HashMap<Slot, ClassId>,
     owner: ClassId,
-    out: Vec<ResolvedCall>,
 }
 
 impl<'a> CallResolver<'a> {
@@ -308,134 +319,6 @@ impl<'a> CallResolver<'a> {
         targets.sort_unstable();
         targets.dedup();
         targets
-    }
-
-    fn walk_expr(&mut self, expr: &LExpr) {
-        match expr {
-            LExpr::Call {
-                site,
-                recv,
-                method,
-                args,
-            } => {
-                if let Some(r) = recv {
-                    self.walk_expr(r);
-                }
-                for a in args {
-                    self.walk_expr(a);
-                }
-                let targets = self.resolve(recv.as_deref(), *method);
-                self.out.push(ResolvedCall {
-                    site: *site,
-                    method: *method,
-                    targets,
-                });
-            }
-            LExpr::Field { recv, .. } => self.walk_expr(recv),
-            LExpr::GlobalCall { args, .. }
-            | LExpr::NewExc { args, .. }
-            | LExpr::NewObj { args, .. }
-            | LExpr::NewUnknown { args, .. } => {
-                for a in args {
-                    self.walk_expr(a);
-                }
-            }
-            LExpr::Binary { lhs, rhs, .. } => {
-                self.walk_expr(lhs);
-                self.walk_expr(rhs);
-            }
-            LExpr::Unary { expr, .. } => self.walk_expr(expr),
-            LExpr::InstanceOf { expr, .. } => self.walk_expr(expr),
-            LExpr::Literal(_) | LExpr::Local { .. } | LExpr::ImplicitField { .. } | LExpr::This => {
-            }
-        }
-    }
-
-    fn walk_stmts(&mut self, stmts: &[LStmt]) {
-        for stmt in stmts {
-            match stmt {
-                LStmt::Var { init, .. } => self.walk_expr(init),
-                LStmt::AssignLocal { value, .. } => self.walk_expr(value),
-                LStmt::AssignField { recv, value, .. } => {
-                    self.walk_expr(recv);
-                    self.walk_expr(value);
-                }
-                LStmt::If {
-                    cond,
-                    then_blk,
-                    else_blk,
-                } => {
-                    self.walk_expr(cond);
-                    self.walk_stmts(then_blk);
-                    if let Some(e) = else_blk {
-                        self.walk_stmts(e);
-                    }
-                }
-                LStmt::While { cond, body } => {
-                    self.walk_expr(cond);
-                    self.walk_stmts(body);
-                }
-                LStmt::For {
-                    init,
-                    cond,
-                    update,
-                    body,
-                } => {
-                    if let Some(i) = init {
-                        self.walk_stmts(std::slice::from_ref(i));
-                    }
-                    if let Some(c) = cond {
-                        self.walk_expr(c);
-                    }
-                    if let Some(u) = update {
-                        self.walk_stmts(std::slice::from_ref(u));
-                    }
-                    self.walk_stmts(body);
-                }
-                LStmt::Switch {
-                    scrutinee,
-                    cases,
-                    default,
-                } => {
-                    self.walk_expr(scrutinee);
-                    for (_, body) in cases {
-                        self.walk_stmts(body);
-                    }
-                    if let Some(d) = default {
-                        self.walk_stmts(d);
-                    }
-                }
-                LStmt::Try {
-                    body,
-                    catches,
-                    finally,
-                } => {
-                    self.walk_stmts(body);
-                    for c in catches {
-                        self.walk_stmts(&c.body);
-                    }
-                    if let Some(f) = finally {
-                        self.walk_stmts(f);
-                    }
-                }
-                LStmt::Throw { expr } | LStmt::Log { expr } | LStmt::Expr { expr } => {
-                    self.walk_expr(expr)
-                }
-                LStmt::Return { expr } => {
-                    if let Some(e) = expr {
-                        self.walk_expr(e);
-                    }
-                }
-                LStmt::Sleep { ms } => self.walk_expr(ms),
-                LStmt::Assert { cond, msg } => {
-                    self.walk_expr(cond);
-                    if let Some(m) = msg {
-                        self.walk_expr(m);
-                    }
-                }
-                LStmt::Break | LStmt::Continue => {}
-            }
-        }
     }
 }
 

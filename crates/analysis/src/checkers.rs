@@ -1132,8 +1132,10 @@ mod tests {
         assert_eq!(i001[0].severity, Severity::Info);
         assert!(i001[0].message.contains("1/4"), "got: {}", i001[0].message);
 
-        let mut opts = LintOptions::default();
-        opts.ifratio = false;
+        let opts = LintOptions {
+            ifratio: false,
+            ..LintOptions::default()
+        };
         let diags = lint_project(&p, &opts).diagnostics;
         assert!(
             diags.iter().all(|d| d.code != "I001"),
@@ -1202,8 +1204,10 @@ mod tests {
              }";
         let p = Project::compile("t", vec![("t.jav", src)]).expect("compile");
         let render = |jobs: usize| {
-            let mut opts = LintOptions::default();
-            opts.jobs = jobs;
+            let opts = LintOptions {
+                jobs,
+                ..LintOptions::default()
+            };
             crate::diag::render_text(&lint_project(&p, &opts).diagnostics)
         };
         let one = render(1);

@@ -320,8 +320,10 @@ mod tests {
         let p = Project::compile("t", vec![("c.jav", src)]).unwrap();
         let idx = index(&p);
         assert!(find_retry_loops(&idx, &LoopQueryOptions::default()).is_empty());
-        let mut no_filter = LoopQueryOptions::default();
-        no_filter.keyword_filter = false;
+        let no_filter = LoopQueryOptions {
+            keyword_filter: false,
+            ..LoopQueryOptions::default()
+        };
         let loops = find_retry_loops(&idx, &no_filter);
         assert_eq!(loops.len(), 1);
         assert!(!loops[0].keyword_evidence);
@@ -351,8 +353,10 @@ mod tests {
         let src = "class C { method m(items) { for (var retry = 0; retry < 10; retry = retry + 1) { log(retry); } } }";
         let p = Project::compile("t", vec![("c.jav", src)]).unwrap();
         let idx = index(&p);
-        let mut no_filter = LoopQueryOptions::default();
-        no_filter.keyword_filter = false;
+        let no_filter = LoopQueryOptions {
+            keyword_filter: false,
+            ..LoopQueryOptions::default()
+        };
         assert!(find_retry_loops(&idx, &no_filter).is_empty());
     }
 
@@ -405,8 +409,10 @@ mod tests {
         let p = Project::compile("t", vec![("c.jav", src)]).unwrap();
         let idx = index(&p);
         let with = find_retry_loops(&idx, &LoopQueryOptions::default());
-        let mut opts = LoopQueryOptions::default();
-        opts.keyword_filter = false;
+        let opts = LoopQueryOptions {
+            keyword_filter: false,
+            ..LoopQueryOptions::default()
+        };
         let without = find_retry_loops(&idx, &opts);
         assert_eq!(with.len(), 1);
         assert_eq!(without.len(), 3);

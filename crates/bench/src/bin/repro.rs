@@ -387,11 +387,7 @@ fn table6(aggregate: &Aggregate) {
         .iter()
         .enumerate()
         .map(|(i, app)| {
-            let reduction = if app.runs_planned > 0 {
-                app.runs_naive / app.runs_planned
-            } else {
-                0
-            };
+            let reduction = app.runs_naive.checked_div(app.runs_planned).unwrap_or(0);
             let paper_reduction = paper::TABLE6_NAIVE[i] / paper::TABLE6_PLANNED[i];
             vec![
                 app.app.clone(),
@@ -571,8 +567,10 @@ fn ablation_keyword(scale: Scale) {
         let project = compile_app(&app);
         let index = ProjectIndex::build(&project);
         with_filter += find_retry_loops(&index, &LoopQueryOptions::default()).len();
-        let mut no_filter = LoopQueryOptions::default();
-        no_filter.keyword_filter = false;
+        let no_filter = LoopQueryOptions {
+            keyword_filter: false,
+            ..LoopQueryOptions::default()
+        };
         without_filter += find_retry_loops(&index, &no_filter).len();
     }
     println!(

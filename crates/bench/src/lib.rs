@@ -1,9 +1,7 @@
 #![forbid(unsafe_code)]
-//! Experiment-reproduction support: plain-text table rendering, the
-//! paper's reference numbers (shared by the `repro` binary and the
-//! integration tests), and a dependency-free statistical harness for the
-//! bench targets.
+//! Experiment-reproduction support: plain-text table rendering and the
+//! paper's reference numbers for the `repro` binary. Timing lives in
+//! `perfbench/`, not here.
 
-pub mod harness;
 pub mod paper;
 pub mod tables;

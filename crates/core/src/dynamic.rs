@@ -23,7 +23,6 @@ use wasabi_planner::adaptive::{self, ProbeSignal};
 use wasabi_planner::configfix::{restore_retry_configs, ConfigRestoration};
 use wasabi_planner::coverage::{profile_coverage_jobs, CoverageProfile};
 use wasabi_planner::plan::{expand_plan, naive_run_count, plan, InjectionRun, RunKey, TestPlan};
-use wasabi_planner::profile_cache::{self, ProfileCacheOptions};
 use wasabi_vm::runner::RunOptions;
 use wasabi_vm::trace::TestOutcome;
 
@@ -87,10 +86,6 @@ pub struct DynamicOptions {
     /// [`wasabi_planner::adaptive::boost_disagreement_sites`]). Pure
     /// scheduling, never report-bearing; ignored without `adaptive`.
     pub disagreement_hints: BTreeSet<String>,
-    /// Persist the coverage profile keyed by source digest
-    /// (`--profile-cache`); repeat campaigns over unchanged sources skip
-    /// the profiling pass. See [`wasabi_planner::profile_cache`].
-    pub profile_cache: Option<ProfileCacheOptions>,
 }
 
 impl Default for DynamicOptions {
@@ -110,7 +105,6 @@ impl Default for DynamicOptions {
             shard_range: None,
             adaptive: false,
             disagreement_hints: BTreeSet::new(),
-            profile_cache: None,
         }
     }
 }
@@ -253,29 +247,8 @@ pub fn prepare_campaign(
     //    are independent, so the profile parallelizes across the same
     //    worker count as the campaign (byte-identical merge; see
     //    `profile_coverage_jobs`).
-    //    When a profile cache is configured, a fresh (non-bypassed,
-    //    non-stale) entry for this digest + location fingerprint skips
-    //    the pass entirely; a miss re-profiles and writes back.
     let name = phase("profile", observer);
-    let profile = match &options.profile_cache {
-        Some(cache) => {
-            let fp = profile_cache::locations_fingerprint(locations);
-            match profile_cache::load(cache, fp) {
-                Some(profile) => profile,
-                None => {
-                    let profile =
-                        profile_coverage_jobs(project, locations, &run_options, options.jobs);
-                    if let Err(err) = profile_cache::store(cache, fp, &profile) {
-                        // Degrade, don't die: the profile is correct, only
-                        // the next campaign's warm start is lost.
-                        eprintln!("[core] profile cache write failed: {err}");
-                    }
-                    profile
-                }
-            }
-        }
-        None => profile_coverage_jobs(project, locations, &run_options, options.jobs),
-    };
+    let profile = profile_coverage_jobs(project, locations, &run_options, options.jobs);
     close(name, observer);
 
     // 3. Plan one {test, location} pair per coverable location, and pin
@@ -308,7 +281,7 @@ pub fn run_dynamic_with_observer(
     observer: &mut dyn EngineObserver,
 ) -> DynamicResult {
     // Each pipeline step is bracketed by phase events so a metrics
-    // observer (`--trace-out`, `wasabi bench`) can attribute wall time to
+    // observer (`--trace-out`, perfbench) can attribute wall time to
     // phases; the phase sum tiles the whole pipeline.
     let phase = |name: &'static str, observer: &mut dyn EngineObserver| {
         observer.on_event(&EngineEvent::PhaseStarted { name });

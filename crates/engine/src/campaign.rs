@@ -246,7 +246,7 @@ pub struct CampaignOptions {
     /// Whether to capture per-run host timings ([`RunTiming`]): the
     /// `Instant` reads bracketing each run, the timed oracle judgement,
     /// and the queue-wait stamp. On by default; campaigns that do not
-    /// record traces (`wasabi bench`, plain `wasabi test`) turn it off so
+    /// record traces (plain `wasabi test`, `wasabi repair`) turn it off so
     /// the hot loop carries no clock reads beyond the interpreter's own.
     /// Never affects [`CampaignResult::records`] — timings live only in
     /// the metrics/observer layer.

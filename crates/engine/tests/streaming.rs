@@ -51,7 +51,7 @@ fn campaign_fixture() -> (Project, Vec<InjectionRun>) {
     let all_sites: BTreeSet<_> = locations.iter().map(|l| l.site).collect();
     let test_plan = plan(&profile, &all_sites);
     let mut runs = expand_plan(&test_plan, &locations, &[1, 2, 3, 100]);
-    runs.sort_by(|a, b| a.key().cmp(&b.key()));
+    runs.sort_by_key(|run| run.key());
     (project, runs)
 }
 

@@ -527,6 +527,124 @@ pub enum LExpr {
     },
 }
 
+/// Visits every expression in a lowered body, in source order, each
+/// node after the expressions it contains (a call after its receiver and
+/// arguments). Statements are not visited; nested blocks are.
+pub fn visit_exprs<'a>(body: &'a [LStmt], visit: &mut dyn FnMut(&'a LExpr)) {
+    for stmt in body {
+        match stmt {
+            LStmt::Var { init: expr, .. }
+            | LStmt::AssignLocal { value: expr, .. }
+            | LStmt::Throw { expr }
+            | LStmt::Log { expr }
+            | LStmt::Expr { expr }
+            | LStmt::Sleep { ms: expr }
+            | LStmt::Return { expr: Some(expr) } => visit_expr(expr, visit),
+            LStmt::AssignField { recv, value, .. } => {
+                visit_expr(recv, visit);
+                visit_expr(value, visit);
+            }
+            LStmt::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => {
+                visit_expr(cond, visit);
+                visit_exprs(then_blk, visit);
+                if let Some(e) = else_blk {
+                    visit_exprs(e, visit);
+                }
+            }
+            LStmt::While { cond, body } => {
+                visit_expr(cond, visit);
+                visit_exprs(body, visit);
+            }
+            LStmt::For {
+                init,
+                cond,
+                update,
+                body,
+            } => {
+                if let Some(i) = init {
+                    visit_exprs(std::slice::from_ref(i), visit);
+                }
+                if let Some(c) = cond {
+                    visit_expr(c, visit);
+                }
+                if let Some(u) = update {
+                    visit_exprs(std::slice::from_ref(u), visit);
+                }
+                visit_exprs(body, visit);
+            }
+            LStmt::Switch {
+                scrutinee,
+                cases,
+                default,
+            } => {
+                visit_expr(scrutinee, visit);
+                for (_, body) in cases {
+                    visit_exprs(body, visit);
+                }
+                if let Some(d) = default {
+                    visit_exprs(d, visit);
+                }
+            }
+            LStmt::Try {
+                body,
+                catches,
+                finally,
+            } => {
+                visit_exprs(body, visit);
+                for c in catches {
+                    visit_exprs(&c.body, visit);
+                }
+                if let Some(f) = finally {
+                    visit_exprs(f, visit);
+                }
+            }
+            LStmt::Assert { cond, msg } => {
+                visit_expr(cond, visit);
+                if let Some(m) = msg {
+                    visit_expr(m, visit);
+                }
+            }
+            LStmt::Return { expr: None } | LStmt::Break | LStmt::Continue => {}
+        }
+    }
+}
+
+/// [`visit_exprs`] for one expression tree (a field initialiser, say):
+/// children first, then `expr` itself.
+pub fn visit_expr<'a>(expr: &'a LExpr, visit: &mut dyn FnMut(&'a LExpr)) {
+    match expr {
+        LExpr::Call { recv, args, .. } => {
+            if let Some(r) = recv {
+                visit_expr(r, visit);
+            }
+            for a in args {
+                visit_expr(a, visit);
+            }
+        }
+        LExpr::GlobalCall { args, .. }
+        | LExpr::NewExc { args, .. }
+        | LExpr::NewObj { args, .. }
+        | LExpr::NewUnknown { args, .. } => {
+            for a in args {
+                visit_expr(a, visit);
+            }
+        }
+        LExpr::Binary { lhs, rhs, .. } => {
+            visit_expr(lhs, visit);
+            visit_expr(rhs, visit);
+        }
+        LExpr::Field { recv: inner, .. }
+        | LExpr::Unary { expr: inner, .. }
+        | LExpr::InstanceOf { expr: inner, .. } => visit_expr(inner, visit),
+        LExpr::Literal(_) | LExpr::Local { .. } | LExpr::ImplicitField { .. } | LExpr::This => {}
+    }
+    visit(expr);
+}
+
 /// Names reserved for global builtins. A receiver-less call to one of
 /// these is always the builtin, never a method on `this`.
 pub fn is_global_builtin(name: &str) -> bool {

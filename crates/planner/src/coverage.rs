@@ -7,7 +7,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use wasabi_analysis::loops::RetryLocation;
 use wasabi_inject::CoverageRecorder;
-use wasabi_lang::index::{ClassId, LExpr, LStmt, ProgramIndex};
+use wasabi_lang::index::{visit_expr, visit_exprs, ClassId, LExpr, ProgramIndex};
 use wasabi_lang::intern::Symbol;
 use wasabi_lang::project::{CallSite, FileId, MethodId, Project};
 use wasabi_vm::runner::{run_test, RunOptions};
@@ -264,7 +264,7 @@ fn reverse_graph(index: &ProgramIndex, sites: &BTreeSet<CallSite>) -> ReverseGra
         called.clear();
         instantiated.clear();
         let mut hits_target = false;
-        walk_stmts(&method.body, &mut |expr| match expr {
+        visit_exprs(&method.body, &mut |expr| match expr {
             LExpr::Call { site, method, .. } => {
                 called.push(*method);
                 hits_target |= sites.contains(site);
@@ -324,130 +324,12 @@ fn reverse_graph(index: &ProgramIndex, sites: &BTreeSet<CallSite>) -> ReverseGra
 /// benign in themselves; their argument expressions still recurse.
 fn expr_contains_user_call(expr: &LExpr) -> bool {
     let mut found = false;
-    walk_expr(expr, &mut |e| {
+    visit_expr(expr, &mut |e| {
         if matches!(e, LExpr::Call { .. } | LExpr::NewObj { .. }) {
             found = true;
         }
     });
     found
-}
-
-/// Pre-order visit of every expression node in a body.
-fn walk_stmts<'a>(stmts: &'a [LStmt], visit: &mut dyn FnMut(&'a LExpr)) {
-    for stmt in stmts {
-        match stmt {
-            LStmt::Var { init, .. } => walk_expr(init, visit),
-            LStmt::AssignLocal { value, .. } => walk_expr(value, visit),
-            LStmt::AssignField { recv, value, .. } => {
-                walk_expr(recv, visit);
-                walk_expr(value, visit);
-            }
-            LStmt::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                walk_expr(cond, visit);
-                walk_stmts(then_blk, visit);
-                if let Some(e) = else_blk {
-                    walk_stmts(e, visit);
-                }
-            }
-            LStmt::While { cond, body } => {
-                walk_expr(cond, visit);
-                walk_stmts(body, visit);
-            }
-            LStmt::For {
-                init,
-                cond,
-                update,
-                body,
-            } => {
-                if let Some(i) = init {
-                    walk_stmts(std::slice::from_ref(i), visit);
-                }
-                if let Some(c) = cond {
-                    walk_expr(c, visit);
-                }
-                if let Some(u) = update {
-                    walk_stmts(std::slice::from_ref(u), visit);
-                }
-                walk_stmts(body, visit);
-            }
-            LStmt::Switch {
-                scrutinee,
-                cases,
-                default,
-            } => {
-                walk_expr(scrutinee, visit);
-                for (_, body) in cases {
-                    walk_stmts(body, visit);
-                }
-                if let Some(d) = default {
-                    walk_stmts(d, visit);
-                }
-            }
-            LStmt::Try {
-                body,
-                catches,
-                finally,
-            } => {
-                walk_stmts(body, visit);
-                for c in catches {
-                    walk_stmts(&c.body, visit);
-                }
-                if let Some(f) = finally {
-                    walk_stmts(f, visit);
-                }
-            }
-            LStmt::Throw { expr } | LStmt::Log { expr } | LStmt::Expr { expr } => {
-                walk_expr(expr, visit)
-            }
-            LStmt::Return { expr } => {
-                if let Some(e) = expr {
-                    walk_expr(e, visit);
-                }
-            }
-            LStmt::Sleep { ms } => walk_expr(ms, visit),
-            LStmt::Assert { cond, msg } => {
-                walk_expr(cond, visit);
-                if let Some(m) = msg {
-                    walk_expr(m, visit);
-                }
-            }
-            LStmt::Break | LStmt::Continue => {}
-        }
-    }
-}
-
-fn walk_expr<'a>(expr: &'a LExpr, visit: &mut dyn FnMut(&'a LExpr)) {
-    visit(expr);
-    match expr {
-        LExpr::Call { recv, args, .. } => {
-            if let Some(r) = recv {
-                walk_expr(r, visit);
-            }
-            for a in args {
-                walk_expr(a, visit);
-            }
-        }
-        LExpr::Field { recv, .. } => walk_expr(recv, visit),
-        LExpr::GlobalCall { args, .. }
-        | LExpr::NewExc { args, .. }
-        | LExpr::NewObj { args, .. }
-        | LExpr::NewUnknown { args, .. } => {
-            for a in args {
-                walk_expr(a, visit);
-            }
-        }
-        LExpr::Binary { lhs, rhs, .. } => {
-            walk_expr(lhs, visit);
-            walk_expr(rhs, visit);
-        }
-        LExpr::Unary { expr, .. } => walk_expr(expr, visit),
-        LExpr::InstanceOf { expr, .. } => walk_expr(expr, visit),
-        LExpr::Literal(_) | LExpr::Local { .. } | LExpr::ImplicitField { .. } | LExpr::This => {}
-    }
 }
 
 #[cfg(test)]
@@ -654,7 +536,7 @@ mod tests {
         for method in &index.methods {
             let mut called = BTreeSet::new();
             let mut instantiated = BTreeSet::new();
-            walk_stmts(&method.body, &mut |expr| match expr {
+            visit_exprs(&method.body, &mut |expr| match expr {
                 LExpr::Call { method, .. } => {
                     called.insert(*method);
                 }

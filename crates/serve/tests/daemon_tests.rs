@@ -100,6 +100,24 @@ fn malformed_frame_gets_error_and_connection_stays_usable() {
 }
 
 #[test]
+fn deeply_nested_frame_gets_error_and_daemon_keeps_serving() {
+    let handle = default_daemon();
+    let mut conn = Connection::connect(&handle.addr).expect("connect");
+    // 100k nested arrays: a 100 KB frame, well under the frame cap, that
+    // would overflow the parser's stack if nesting were unbounded.
+    conn.send_line(&"[".repeat(100_000)).expect("send");
+    let line = conn.read_line().expect("read").expect("response");
+    let response = Json::parse(&line).expect("error is valid json");
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false), "{line}");
+    // The daemon survived: a normal submit on the same connection runs
+    // to a report.
+    let id = submit(&mut conn, "x.jav", APP_X);
+    let (report, _) = wait_report(&mut conn, id);
+    assert!(report.contains("\"bugs\""), "report: {report}");
+    shutdown(handle);
+}
+
+#[test]
 fn oversized_frame_is_rejected_and_daemon_keeps_accepting() {
     let handle = start(ServeOptions {
         max_frame_bytes: 512,

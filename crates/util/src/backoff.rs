@@ -57,7 +57,7 @@ pub fn equal_jitter_backoff(
 mod tests {
     use super::*;
 
-    const SEED: u64 = 0xBAC0_FF;
+    const SEED: u64 = 0xBAC0FF;
 
     #[test]
     fn schedule_is_deterministic_and_equal_jittered() {

@@ -14,6 +14,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound one short line of `[`s
+/// (a wire frame, a journal line) would overflow the stack and abort the
+/// process. Everything WASABI writes nests fewer than ten levels deep.
+pub const MAX_PARSE_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -124,10 +130,11 @@ impl Json {
     /// offending byte offset on malformed input; trailing garbage after
     /// the top-level value is an error (the journal reader depends on a
     /// half-written line being rejected, not silently truncated).
+    /// Nesting deeper than [`MAX_PARSE_DEPTH`] is an error too.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -220,8 +227,12 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value whose enclosing containers are `depth` levels deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_PARSE_DEPTH {
+        return Err(format!("nesting deeper than {MAX_PARSE_DEPTH} levels at byte {}", *pos));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -237,7 +248,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -265,7 +276,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected `:` at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -307,22 +318,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{08}'),
                     Some(b'f') => out.push('\u{0C}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                        let code = parse_hex4(bytes, *pos + 1)?;
                         // Surrogate pairs: the writer never emits them
                         // (it escapes only control characters), but accept
                         // them for standard-JSON compatibility.
                         if (0xD800..0xDC00).contains(&code) {
                             *pos += 5;
                             expect(bytes, pos, "\\u")?;
-                            let hex2 = bytes.get(*pos..*pos + 4).ok_or("truncated \\u escape")?;
-                            let hex2 = std::str::from_utf8(hex2).map_err(|_| "bad \\u escape")?;
-                            let low = u32::from_str_radix(hex2, 16).map_err(|_| "bad \\u escape")?;
-                            let combined =
-                                0x10000 + ((code - 0xD800) << 10) + low.wrapping_sub(0xDC00);
+                            let low = parse_hex4(bytes, *pos)?;
+                            if !(0xDC00..0xE000).contains(&low) {
+                                return Err(format!("bad low surrogate at byte {pos}", pos = *pos));
+                            }
+                            let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                             out.push(char::from_u32(combined).ok_or("bad surrogate pair")?);
                             *pos += 3; // loop tail adds 1
                         } else {
@@ -341,7 +348,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 // (input is a &str, valid by construction). Revalidating
                 // just the run keeps this linear; per-character
                 // `from_utf8` of the remaining input made large documents
-                // (e.g. cached coverage profiles) quadratic to parse.
+                // (e.g. long journals) quadratic to parse.
                 let start = *pos;
                 while let Some(&b) = bytes.get(*pos) {
                     if b == b'"' || b == b'\\' {
@@ -354,6 +361,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// The code unit spelled by exactly four hex digits at `bytes[at..]`; a
+/// sign (which `from_str_radix` would accept) or a short escape is an error.
+fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let hex = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+    hex.iter()
+        .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+        .ok_or_else(|| format!("bad \\u escape at byte {at}"))
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -561,6 +577,39 @@ mod tests {
             v.get("a").unwrap().as_arr().unwrap()[2].as_str(),
             Some("A😀")
         );
+    }
+
+    #[test]
+    fn parse_rejects_nesting_past_the_depth_limit() {
+        // Far past any stack: must be an error, not an abort.
+        let deep = "[".repeat(100_000);
+        assert!(Json::parse(&deep).is_err());
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(Json::parse(&objects).is_err());
+        // Exactly at the limit still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_PARSE_DEPTH), "]".repeat(MAX_PARSE_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let over = format!("[{ok}]");
+        assert!(Json::parse(&over).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_high_surrogate_without_a_low_one() {
+        for bad in [r#""\uD800\u0000""#, r#""\uD800\uD800""#, r#""\uDBFF\uE000""#] {
+            assert!(Json::parse(bad).is_err(), "accepted `{bad}`");
+        }
+        assert_eq!(
+            Json::parse(r#""\uDBFF\uDFFF""#).unwrap().as_str(),
+            Some("\u{10FFFF}")
+        );
+    }
+
+    #[test]
+    fn parse_requires_four_hex_digits_in_a_unicode_escape() {
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04""#, r#""\uD83D\u+E00""#] {
+            assert!(Json::parse(bad).is_err(), "accepted `{bad}`");
+        }
+        assert_eq!(Json::parse(r#""\u0041\u00e9""#).unwrap().as_str(), Some("Aé"));
     }
 
     #[test]

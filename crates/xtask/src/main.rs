@@ -5,8 +5,9 @@
 //! each stage. Tasks:
 //!
 //! - `tier1` — the tier-1 verification gate: `cargo build --release`
-//!   followed by `cargo test -q --workspace`, then the resilience smoke.
-//!   Fails fast on the first failing stage.
+//!   followed by `cargo test -q --workspace`, then the resilience smoke
+//!   and the seed-corpus report digest. Fails fast on the first failing
+//!   stage.
 //! - `ci`    — tier1 plus `cargo build --all-features` and the
 //!   all-features test suite (every feature is offline-safe in this
 //!   workspace, so both extra stages must pass too).
@@ -16,15 +17,6 @@
 //!   (journal a campaign, cut the journal mid-line as a killed process
 //!   would leave it, resume) whose report must be byte-identical to the
 //!   uninterrupted baseline.
-//! - `bench` — full engine-throughput benchmark over the repro corpus
-//!   (`wasabi bench`, serial and `--jobs 4`); composes
-//!   `target/BENCH_PR6.json` from the recorded baseline
-//!   (`scripts/bench_baseline.json`, written once with
-//!   `bench --record-baseline`) and the current measurement.
-//! - `bench --smoke` — reduced variant for the CI gate: verifies the
-//!   seed-corpus report digest (`scripts/seed_report_digest.txt`,
-//!   recorded with `digest --record`) and runs a one-iteration mini
-//!   bench. Wired into `tier1` and `ci`.
 //! - `digest` — recompute the seed-corpus `wasabi test --json` report
 //!   digest and compare against the recorded one (`--record` rewrites
 //!   the file). Guards against execution-layer changes altering any
@@ -49,10 +41,8 @@
 //! - `adaptive-gate` — the adaptive-planner gate: over all eight corpus
 //!   apps, `wasabi test --adaptive` must report the exact fixed-grid bug
 //!   set (100% recall, identical order and identity) while executing at
-//!   least 40% fewer runs in aggregate; then a paper-scale bench pair
-//!   (`--profile-cache` cold, then warm) must show the warm cache cutting
-//!   total wall time by at least 30%. Writes `target/BENCH_PR8.json` with the
-//!   per-app fixed-vs-adaptive run counts and the cold/warm walls.
+//!   least 40% fewer runs in aggregate. Writes `target/BENCH_PR8.json`
+//!   with the per-app fixed-vs-adaptive run counts.
 //! - `repair-gate` — the auto-repair gate: over all eight corpus apps
 //!   (small scale, amplification seeds included), `wasabi repair` must
 //!   fix at least 80% of the fixable seeded W001/W002/A001 bugs within
@@ -72,9 +62,11 @@
 //!   (Tables 1–6, Figures 3–4, the §2.5 and §4 statistics) must
 //!   reproduce the checked-in `repro_paper_output.txt` byte for byte.
 //!
-//! The `BENCH_PR*.json` files at the repository root are the records each
-//! change committed; the gates write their fresh measurements under
-//! `target/` instead of overwriting them.
+//! Timing is not measured here: `python3 perfbench/run.py` is the one
+//! timing harness (see `perfbench/README.md`). The `BENCH_PR*.json` files
+//! at the repository root are the records each change committed; the
+//! gates write their fresh measurements under `target/` instead of
+//! overwriting them.
 
 use std::env;
 use std::fs;
@@ -83,7 +75,7 @@ use std::process::{exit, Command};
 
 fn main() {
     let task = env::args().nth(1).unwrap_or_else(|| {
-        eprintln!("usage: cargo xtask <tier1|ci|smoke|bench|digest|lint|serve-smoke|chaos-shard-smoke|adaptive-gate|repair-gate|lint-gate|repro-gate>");
+        eprintln!("usage: cargo xtask <tier1|ci|smoke|digest|lint|serve-smoke|chaos-shard-smoke|adaptive-gate|repair-gate|lint-gate|repro-gate>");
         exit(2);
     });
     let flags: Vec<String> = env::args().skip(2).collect();
@@ -92,7 +84,7 @@ fn main() {
             run_stage("build --release", &["build", "--release"]);
             run_stage("test -q --workspace", &["test", "-q", "--workspace"]);
             smoke();
-            bench_smoke();
+            digest(false);
             eprintln!("tier1: OK");
         }
         "ci" => {
@@ -104,21 +96,13 @@ fn main() {
                 &["test", "-q", "--workspace", "--all-features"],
             );
             smoke();
-            bench_smoke();
+            digest(false);
             lint_gate(false);
             eprintln!("ci: OK");
         }
         "smoke" => {
             run_stage("build --release --bin wasabi", &["build", "--release", "--bin", "wasabi"]);
             smoke();
-        }
-        "bench" => {
-            run_stage("build --release --bin wasabi", &["build", "--release", "--bin", "wasabi"]);
-            if flags.iter().any(|f| f == "--smoke") {
-                bench_smoke();
-            } else {
-                bench_full(flags.iter().any(|f| f == "--record-baseline"));
-            }
         }
         "digest" => {
             run_stage("build --release --bin wasabi", &["build", "--release", "--bin", "wasabi"]);
@@ -157,7 +141,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown task `{other}`; expected tier1, ci, smoke, bench, digest, lint, serve-smoke, chaos-shard-smoke, adaptive-gate, repair-gate, lint-gate, or repro-gate"
+                "unknown task `{other}`; expected tier1, ci, smoke, digest, lint, serve-smoke, chaos-shard-smoke, adaptive-gate, repair-gate, lint-gate, or repro-gate"
             );
             exit(2);
         }
@@ -302,11 +286,9 @@ fn smoke() {
     eprintln!("smoke: OK");
 }
 
-const BASELINE_PATH: &str = "scripts/bench_baseline.json";
 const DIGEST_PATH: &str = "scripts/seed_report_digest.txt";
 const LINT_BASELINE_PATH: &str = "scripts/lint_baseline.txt";
 const REPRO_OUTPUT_PATH: &str = "repro_paper_output.txt";
-const BENCH_OUT: &str = "target/BENCH_PR6.json";
 const ADAPTIVE_BENCH_OUT: &str = "target/BENCH_PR8.json";
 const REPAIR_BENCH_OUT: &str = "target/BENCH_PR9.json";
 const POLICY_BENCH_OUT: &str = "target/BENCH_PR10.json";
@@ -424,129 +406,6 @@ fn run_wasabi_lint_in(wasabi: &Path, cwd: &Path, flags: &[&str], files: &[PathBu
         fail(&format!("wasabi lint exited with code {code}"));
     }
     (code, String::from_utf8_lossy(&output.stdout).into_owned())
-}
-
-/// Full benchmark: measure serial and 4-worker throughput over the whole
-/// repro corpus, then compose `BENCH_PR3.json` from the recorded baseline
-/// and the current numbers. With `record`, (re)writes the baseline file
-/// instead.
-fn bench_full(record: bool) {
-    let wasabi = release_wasabi();
-    eprintln!("==> bench: full corpus, serial");
-    let serial = run_wasabi(
-        &wasabi,
-        &["bench", "--jobs", "1", "--iters", "3", "--scale", "paper"],
-    );
-    eprintln!("==> bench: full corpus, --jobs 4");
-    let parallel = run_wasabi(
-        &wasabi,
-        &["bench", "--jobs", "4", "--iters", "3", "--scale", "paper"],
-    );
-    let measurement = format!(
-        "{{\n  \"serial\": {},\n  \"parallel\": {}\n}}",
-        indent_json(&serial, 2),
-        indent_json(&parallel, 2)
-    );
-    if record {
-        fs::write(BASELINE_PATH, &measurement)
-            .unwrap_or_else(|e| fail(&format!("write {BASELINE_PATH}: {e}")));
-        eprintln!("bench: baseline recorded to {BASELINE_PATH}");
-        return;
-    }
-    let baseline = fs::read_to_string(BASELINE_PATH).unwrap_or_else(|_| {
-        fail(&format!(
-            "{BASELINE_PATH} missing — record one with `cargo xtask bench --record-baseline`"
-        ))
-    });
-    let speedup = |section: &str| -> f64 {
-        let base = extract_runs_per_sec(extract_section(&baseline, section));
-        let curr = extract_runs_per_sec(extract_section(&measurement, section));
-        curr / base
-    };
-    let (serial_speedup, parallel_speedup) = (speedup("serial"), speedup("parallel"));
-    let static_sweep = bench_static_sweep();
-    let doc = format!(
-        "{{\n  \"harness\": \"wasabi bench (full dynamic workflow over all 8 corpus apps, \
-         scale paper, best of 3 iterations)\",\n  \"baseline\": {},\n  \"current\": {},\n  \
-         \"speedup\": {{\n    \"serial_runs_per_sec\": {serial_speedup:.2},\n    \
-         \"parallel_runs_per_sec\": {parallel_speedup:.2}\n  }},\n  \"static_sweep\": {}\n}}\n",
-        indent_json(baseline.trim(), 2),
-        indent_json(measurement.trim(), 2),
-        indent_json(&static_sweep, 2)
-    );
-    fs::write(BENCH_OUT, doc).unwrap_or_else(|e| fail(&format!("write {BENCH_OUT}: {e}")));
-    eprintln!(
-        "bench: wrote {BENCH_OUT} (speedup: {serial_speedup:.2}x serial, \
-         {parallel_speedup:.2}x parallel)"
-    );
-}
-
-/// Times the interprocedural lint (`wasabi lint --jobs 1`) over each
-/// pinned corpus app (amplification seeds included) and returns a JSON
-/// fragment with per-app wall time and diagnostic counts.
-fn bench_static_sweep() -> String {
-    eprintln!("==> bench: static lint sweep");
-    let wasabi = release_wasabi()
-        .canonicalize()
-        .unwrap_or_else(|e| fail(&format!("canonicalize wasabi path: {e}")));
-    let work = env::temp_dir().join(format!("wasabi-lintbench-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&work);
-    let mut rows = Vec::new();
-    for app in LINT_APPS {
-        let app_dir = work.join(app);
-        let status = Command::new(&wasabi)
-            .args(["corpus", app, "--amp"])
-            .arg(&app_dir)
-            .status()
-            .unwrap_or_else(|e| fail(&format!("spawn wasabi corpus: {e}")));
-        if !status.success() {
-            fail(&format!("wasabi corpus {app} --amp failed"));
-        }
-        let mut files = Vec::new();
-        collect_jav(&app_dir, &mut files);
-        files.sort();
-        let rel: Vec<PathBuf> = files
-            .iter()
-            .map(|f| f.strip_prefix(&work).expect("file under work dir").to_path_buf())
-            .collect();
-        let start = std::time::Instant::now();
-        let (_, stdout) = run_wasabi_lint_in(&wasabi, &work, &["--jobs", "1"], &rel);
-        let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
-        let diagnostics = stdout.lines().filter(|l| l.contains(": warning[")).count();
-        eprintln!("    {app}: {} files, {diagnostics} diagnostics, {wall_ms:.1} ms", rel.len());
-        rows.push(format!(
-            "    \"{app}\": {{ \"files\": {}, \"diagnostics\": {diagnostics}, \
-             \"wall_ms\": {wall_ms:.1} }}",
-            rel.len()
-        ));
-    }
-    let _ = fs::remove_dir_all(&work);
-    format!("{{\n{}\n  }}", rows.join(",\n"))
-}
-
-/// The CI bench smoke: the seed-corpus report digest must match the
-/// recorded one (interning/indexing must never change observable output),
-/// and a one-iteration mini bench must run cleanly.
-fn bench_smoke() {
-    eprintln!("==> bench smoke: seed-corpus report digest + mini bench");
-    digest(false);
-    let wasabi = release_wasabi();
-    let out = run_wasabi(&wasabi, &["bench", "--apps", "HD", "--iters", "1", "--jobs", "2"]);
-    if !out.contains("\"runs_per_sec\"") {
-        fail("bench smoke: mini bench produced no runs_per_sec");
-    }
-    // The per-phase breakdown must tile the measured wall time: the sum
-    // of phase wall times within 10% of the total.
-    let totals = extract_section(&out, "totals");
-    let wall_ms = extract_number(totals, "\"wall_ms\":");
-    let phase_ms = sum_phase_ms(totals);
-    if phase_ms < wall_ms * 0.9 || phase_ms > wall_ms * 1.1 {
-        fail(&format!(
-            "bench smoke: phase sum {phase_ms:.1} ms not within 10% of wall {wall_ms:.1} ms"
-        ));
-    }
-    eprintln!("    per-phase breakdown tiles wall time ({phase_ms:.1} of {wall_ms:.1} ms)");
-    eprintln!("bench smoke: OK");
 }
 
 /// Recomputes the `wasabi test --quiet --json --jobs 2` report digest for
@@ -822,19 +681,14 @@ fn serve_smoke() {
     eprintln!("serve smoke: OK");
 }
 
-/// The adaptive-planner gate (two halves):
+/// The adaptive-planner gate: for every corpus app, the `--adaptive`
+/// report's bug list must be *identical* to the fixed grid's (same bugs,
+/// same order, same details; only the grouped per-bug `reports` counts
+/// may shrink, since a deduped widen run would merely have re-witnessed a
+/// bug the probe already proved), and the aggregate executed-run count
+/// must drop by ≥ 40%.
 ///
-/// 1. **Recall at reduced budget** — for every corpus app, the
-///    `--adaptive` report's bug list must be *identical* to the fixed
-///    grid's (same bugs, same order, same details; only the grouped
-///    per-bug `reports` counts may shrink, since a deduped widen run
-///    would merely have re-witnessed a bug the probe already proved),
-///    and the aggregate executed-run count must drop by ≥ 40%.
-/// 2. **Profile-cache payoff** — a paper-scale `wasabi bench` with a
-///    fresh `--profile-cache` run twice: the warm (cache-hit) wall must
-///    be ≤ 70% of the cold wall.
-///
-/// Writes `target/BENCH_PR8.json` with the per-app run counts and both walls.
+/// Writes `target/BENCH_PR8.json` with the per-app run counts.
 fn adaptive_gate() {
     eprintln!("==> adaptive gate: fixed-grid recall at a reduced run budget");
     let wasabi = release_wasabi()
@@ -921,38 +775,13 @@ fn adaptive_gate() {
         100.0 * reduction
     );
 
-    eprintln!("==> adaptive gate: profile-cache cold vs warm (paper scale)");
-    let cache = work.join("profile-cache");
-    let cache_arg = cache.to_string_lossy().into_owned();
-    let bench_args =
-        ["bench", "--jobs", "2", "--iters", "1", "--scale", "paper", "--profile-cache", &cache_arg];
-    let cold = run_wasabi(&wasabi, &bench_args);
-    let warm = run_wasabi(&wasabi, &bench_args);
-    let cold_wall = extract_number(extract_section(&cold, "totals"), "\"wall_ms\":");
-    let warm_wall = extract_number(extract_section(&warm, "totals"), "\"wall_ms\":");
-    if warm_wall > 0.70 * cold_wall {
-        fail(&format!(
-            "adaptive gate: warm profile cache cut the bench wall by less than 30% \
-             ({warm_wall:.0}ms warm vs {cold_wall:.0}ms cold)"
-        ));
-    }
-    eprintln!(
-        "    profile cache: {cold_wall:.0}ms cold -> {warm_wall:.0}ms warm \
-         ({:.1}% faster)",
-        100.0 * (1.0 - warm_wall / cold_wall)
-    );
-
     let doc = format!(
         "{{\n  \"harness\": \"cargo xtask adaptive-gate (wasabi test --jobs 2 fixed vs \
-         --adaptive over all 8 corpus apps; wasabi bench --scale paper --iters 1 with a \
-         cold then warm --profile-cache)\",\n  \"apps\": [\n    {}\n  ],\n  \"totals\": {{\n    \
+         --adaptive over all 8 corpus apps)\",\n  \"apps\": [\n    {}\n  ],\n  \"totals\": {{\n    \
          \"fixed_runs\": {fixed_total},\n    \"adaptive_runs\": {adaptive_total},\n    \
-         \"reduction_pct\": {:.1},\n    \"recall\": 1.0\n  }},\n  \"profile_cache\": {{\n    \
-         \"cold_wall_ms\": {cold_wall:.1},\n    \"warm_wall_ms\": {warm_wall:.1},\n    \
-         \"warm_over_cold\": {:.3}\n  }}\n}}\n",
+         \"reduction_pct\": {:.1},\n    \"recall\": 1.0\n  }}\n}}\n",
         app_docs.join(",\n    "),
-        100.0 * reduction,
-        warm_wall / cold_wall
+        100.0 * reduction
     );
     fs::write(ADAPTIVE_BENCH_OUT, doc)
         .unwrap_or_else(|e| fail(&format!("write {ADAPTIVE_BENCH_OUT}: {e}")));
@@ -971,8 +800,6 @@ fn repair_gate() {
     let work = env::temp_dir().join(format!("wasabi-repair-gate-{}", std::process::id()));
     let _ = fs::remove_dir_all(&work);
     fs::create_dir_all(&work).unwrap_or_else(|e| fail(&format!("create work dir: {e}")));
-    let cache = work.join("profile-cache");
-    let cache_arg = cache.to_string_lossy().into_owned();
 
     // Runs `wasabi repair <args>` tolerating exit 1 (unfixed targets
     // remain — the gate scores the fix rate itself, not the exit code).
@@ -1032,8 +859,6 @@ fn repair_gate() {
                 "small",
                 "--jobs",
                 jobs,
-                "--profile-cache",
-                &cache_arg,
                 "--report",
                 &path.to_string_lossy(),
             ]);
@@ -1084,11 +909,9 @@ fn repair_gate() {
         ));
     }
 
-    let aggregate_rate = if total_fixable == 0 {
-        fail("repair gate: corpus seeded no fixable bugs");
-    } else {
-        total_fixed * 100 / total_fixable
-    };
+    let aggregate_rate = (total_fixed * 100)
+        .checked_div(total_fixable)
+        .unwrap_or_else(|| fail("repair gate: corpus seeded no fixable bugs"));
     if aggregate_rate < REPAIR_RATE_FLOOR {
         fail(&format!(
             "repair gate: aggregate fix rate {aggregate_rate}% \
@@ -1387,19 +1210,6 @@ fn release_wasabi() -> PathBuf {
     wasabi
 }
 
-/// Runs `wasabi <args>` and returns stdout; any failure exit code aborts.
-fn run_wasabi(wasabi: &Path, args: &[&str]) -> String {
-    let output = Command::new(wasabi)
-        .args(args)
-        .output()
-        .unwrap_or_else(|e| fail(&format!("spawn wasabi {}: {e}", args.join(" "))));
-    if !output.status.success() {
-        eprintln!("{}", String::from_utf8_lossy(&output.stderr));
-        fail(&format!("wasabi {} failed", args.join(" ")));
-    }
-    String::from_utf8_lossy(&output.stdout).into_owned()
-}
-
 /// FNV-1a 64-bit, matching `wasabi_util::fnv` (xtask stays dependency-free).
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf29ce484222325u64;
@@ -1410,65 +1220,28 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Pulls the `"serial"`/`"parallel"` object out of a composed measurement
-/// document (top-level key match; good enough for our own format).
+/// Pulls the `"truth"`/`"summary"` object out of a report document
+/// (top-level key match; good enough for our own format).
 fn extract_section<'a>(doc: &'a str, section: &str) -> &'a str {
     let key = format!("\"{section}\":");
     let start = doc
         .find(&key)
-        .unwrap_or_else(|| fail(&format!("bench: no `{section}` section in measurement")));
+        .unwrap_or_else(|| fail(&format!("no `{section}` section in report")));
     &doc[start..]
-}
-
-/// Parses the first `"runs_per_sec": <number>` after `doc`'s start.
-fn extract_runs_per_sec(doc: &str) -> f64 {
-    extract_number(doc, "\"runs_per_sec\":")
 }
 
 /// Parses the first `<key> <number>` after `doc`'s start.
 fn extract_number(doc: &str, key: &str) -> f64 {
     let start = doc
         .find(key)
-        .unwrap_or_else(|| fail(&format!("bench: no {key} in measurement")));
+        .unwrap_or_else(|| fail(&format!("no {key} in report")));
     let rest = doc[start + key.len()..].trim_start();
     let end = rest
         .find(|c: char| c != '.' && c != '-' && c != '+' && c != 'e' && c != 'E' && !c.is_ascii_digit())
         .unwrap_or(rest.len());
     rest[..end]
         .parse::<f64>()
-        .unwrap_or_else(|e| fail(&format!("bench: bad {key} value `{}`: {e}", &rest[..end])))
-}
-
-/// Sums every numeric value in the first `"phases": {...}` object after
-/// `doc`'s start (the bench per-phase wall-time breakdown, in ms).
-fn sum_phase_ms(doc: &str) -> f64 {
-    let start = doc
-        .find("\"phases\":")
-        .unwrap_or_else(|| fail("bench: no phases object in measurement"));
-    let rest = &doc[start..];
-    let open = rest
-        .find('{')
-        .unwrap_or_else(|| fail("bench: malformed phases object"));
-    let close = rest[open..]
-        .find('}')
-        .unwrap_or_else(|| fail("bench: malformed phases object"))
-        + open;
-    rest[open + 1..close]
-        .split(',')
-        .filter_map(|entry| entry.rsplit(':').next())
-        .filter_map(|number| number.trim().parse::<f64>().ok())
-        .sum()
-}
-
-/// Re-indents a JSON document by `by` extra spaces (cosmetic nesting).
-fn indent_json(doc: &str, by: usize) -> String {
-    let pad = " ".repeat(by);
-    doc.trim()
-        .lines()
-        .enumerate()
-        .map(|(i, line)| if i == 0 { line.to_string() } else { format!("{pad}{line}") })
-        .collect::<Vec<_>>()
-        .join("\n")
+        .unwrap_or_else(|e| fail(&format!("bad {key} value `{}`: {e}", &rest[..end])))
 }
 
 /// Runs `wasabi test <flags> <files>` and returns stdout. Exit code 1

@@ -3,10 +3,11 @@
 #
 #   1. tier-1: the gate every change must pass — release build + full test
 #      suite with default features, exactly what `cargo tier1` runs. Also
-#      runs `cargo clippy --all-targets -- -D warnings`: the workspace is
-#      lint-clean and stays that way.
+#      runs `cargo clippy --workspace --all-targets -- -D warnings` over
+#      every member crate (xtask and repro included) and their test
+#      targets: the workspace is lint-clean and stays that way.
 #   2. all-features: compile check with every optional feature enabled
-#      (json-reports, proptest-suite, bench-criterion) plus the
+#      (json-reports, proptest-suite) plus the
 #      feature-gated test suites, so gated code can never rot.
 #   3. resilience smoke: a chaos campaign (10% injected run panics,
 #      --jobs 4) must report byte-identically to the serial run, a
@@ -15,11 +16,11 @@
 #      campaign recorded with --trace-out must pass `wasabi stats`
 #      validation against its journal (schema, closed spans, attempt and
 #      injection counts).
-#   4. bench smoke: the seed-corpus `wasabi test --json` reports must
+#   4. report digest: the seed-corpus `wasabi test --json` reports must
 #      match the recorded digest (scripts/seed_report_digest.txt) — the
 #      compile-once interning/index layer must never change observable
-#      output — a one-iteration mini bench must run cleanly, and its
-#      per-phase breakdown must sum to within 10% of measured wall time.
+#      output. Timing is perfbench's job (`python3 perfbench/run.py`),
+#      not CI's.
 #   5. lint gate: `wasabi lint` over the pinned corpus apps (amplification
 #      seeds included) must be byte-identical between --jobs 1 and
 #      --jobs 4 and must report nothing outside the checked-in baseline
@@ -36,9 +37,7 @@
 #      directory, and a same-chaos-seed rerun must be byte-identical.
 #   8. adaptive gate: `wasabi test --adaptive` over all eight corpus
 #      apps must report the exact fixed-grid bug set while executing at
-#      least 40% fewer runs in aggregate, and a paper-scale bench with a
-#      warm --profile-cache must cut the cold wall by at least 30%
-#      (writes target/BENCH_PR8.json).
+#      least 40% fewer runs in aggregate (writes target/BENCH_PR8.json).
 #   9. repair gate: `wasabi repair` over all eight corpus apps (small
 #      scale, amplification seeds included) must fix at least 80% of the
 #      fixable seeded W001/W002/A001 bugs — in aggregate and per class —
@@ -65,7 +64,7 @@ cd "$(dirname "$0")/.."
 echo "== stage 1: tier-1 (default features + clippy) =="
 cargo build --release
 cargo test -q --workspace
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== stage 2: all features =="
 cargo build --all-features
@@ -74,8 +73,8 @@ cargo test -q --workspace --all-features
 echo "== stage 3: resilience smoke =="
 cargo xtask smoke
 
-echo "== stage 4: bench smoke (report digest + mini bench) =="
-cargo xtask bench --smoke
+echo "== stage 4: report digest (seed-corpus reports vs recorded digest) =="
+cargo xtask digest
 
 echo "== stage 5: lint gate (static diagnostics vs baseline) =="
 cargo xtask lint
@@ -86,7 +85,7 @@ cargo xtask serve-smoke
 echo "== stage 7: chaos shard smoke (killed shard recovers, digest-pinned merge) =="
 cargo xtask chaos-shard-smoke
 
-echo "== stage 8: adaptive gate (fixed-grid recall at reduced budget, cache payoff) =="
+echo "== stage 8: adaptive gate (fixed-grid recall at reduced budget) =="
 cargo xtask adaptive-gate
 
 echo "== stage 9: repair gate (auto-repair fix rate vs seeded ground truth) =="

@@ -17,9 +17,7 @@
 //! wasabi stats   <trace.jsonl>... [--journal PATH] # per-phase/per-run trace tables
 //! wasabi corpus  <APP> <out-dir> [--amp]           # write a synthetic app to disk
 //! wasabi repair  [--json] [--jobs N] [--max-fix-attempts N] [--report PATH]
-//!                [--out DIR] [--profile-cache DIR]
-//!                (--corpus APP [--amp] [--scale S] | <file.jav>...)
-//! wasabi bench   [--jobs N] [--iters N] [--apps HD,MA,...] [--scale tiny|small|paper]
+//!                [--out DIR] (--corpus APP [--amp] [--scale S] | <file.jav>...)
 //! wasabi serve   [--addr HOST:PORT] [--unix PATH] [--max-queued N] [--max-inflight N]
 //!                [--cache N] [--jobs N]            # campaign-as-a-service daemon
 //! wasabi submit  --addr ADDR [--priority N] [--jobs N] [--subscribe] <file.jav>...
@@ -40,7 +38,7 @@ use wasabi::analysis::resolve::ProjectIndex;
 use wasabi::core::dynamic::{run_dynamic_with_observer, DynamicOptions};
 use wasabi::core::identify::identify;
 use wasabi::core::lint::{cross_check, lint_with_overlap};
-use wasabi::core::{report_json, source_digest, ProfileCacheOptions};
+use wasabi::core::report_json;
 use wasabi::engine::campaign::{ChaosConfig, RetryPolicy};
 use wasabi::engine::{
     journal, load_trace, render_stats, validate_trace, write_trace, EngineEvent, EngineObserver,
@@ -62,20 +60,16 @@ const USAGE: &str = "usage:
                  [--cross-check] [--no-ifratio] <file.jav>...
   wasabi test    [--json] [--jobs N] [--max-attempts N] [--journal PATH]
                  [--resume PATH] [--quiet] [--chaos-panic RATE]
-                 [--trace-out PATH] [--adaptive] [--profile-cache DIR]
-                 [--profile-cache-bypass] <file.jav>...
+                 [--trace-out PATH] [--adaptive] <file.jav>...
   wasabi test    --shards N [--shard-dir DIR] [--chaos-kill-shard I]
                  [--chaos-exit-after N] <file.jav>...
   wasabi merge   [--json] <shard-dir>
   wasabi stats   <trace.jsonl>... [--journal PATH]
   wasabi corpus  <APP> <out-dir> [--amp] [--policy]   (APP = HA HD MA YA HB HI CA EL)
   wasabi repair  [--json] [--jobs N] [--max-fix-attempts N] [--report PATH]
-                 [--out DIR] [--profile-cache DIR]
-                 (--corpus APP [--amp] [--scale tiny|small|paper] | <file.jav>...)
-  wasabi bench   [--jobs N] [--iters N] [--apps HD,MA,...] [--scale tiny|small|paper]
-                 [--adaptive] [--profile-cache DIR] [--profile-cache-bypass]
+                 [--out DIR] (--corpus APP [--amp] [--scale tiny|small|paper] | <file.jav>...)
   wasabi serve   [--addr HOST:PORT] [--unix PATH] [--max-queued N] [--max-inflight N]
-                 [--cache N] [--jobs N] [--profile-cache DIR]
+                 [--cache N] [--jobs N]
   wasabi submit  --addr ADDR [--priority N] [--jobs N] [--shards N] [--subscribe]
                  [--retry-attempts N] [--retry-base-ms MS] <file.jav>...
   wasabi submit  --addr ADDR (--stats | --shutdown [--drain [--drain-deadline-ms MS]]
@@ -115,11 +109,6 @@ struct CampaignFlags {
     /// probe wave first, widen only where inconclusive. Off by default;
     /// report digests are pinned only for the fixed grid.
     adaptive: bool,
-    /// Directory for digest-keyed coverage-profile persistence
-    /// (`--profile-cache DIR`), shared by `test`, `bench`, and `serve`.
-    profile_cache: Option<PathBuf>,
-    /// Skip the cache read side (always re-profile, still write back).
-    profile_cache_bypass: bool,
 }
 
 fn main() -> ExitCode {
@@ -149,7 +138,6 @@ fn main() -> ExitCode {
         "stats" => stats(&args, &flags),
         "corpus" => corpus(&args),
         "repair" => repair(args, json, &flags),
-        "bench" => bench(args, &flags),
         "serve" => serve(args, &flags),
         "submit" => submit(args, &flags),
         other => {
@@ -260,11 +248,6 @@ fn take_campaign_flags(args: &mut Vec<String>) -> Result<CampaignFlags, String> 
         flags.chaos_panic = Some(rate);
     }
     flags.adaptive = take_flag(args, "--adaptive");
-    flags.profile_cache = take_value_flag(args, "--profile-cache")?.map(PathBuf::from);
-    flags.profile_cache_bypass = take_flag(args, "--profile-cache-bypass");
-    if flags.profile_cache_bypass && flags.profile_cache.is_none() {
-        return Err("--profile-cache-bypass requires --profile-cache".to_string());
-    }
     // Shard slices index the *fixed* key-sorted grid; an adaptive child
     // would execute a different (probe-dependent) run set, so the
     // combination is refused rather than silently ignored.
@@ -572,24 +555,6 @@ fn lint(args: &mut Vec<String>, json: bool, flags: &CampaignFlags) -> ExitCode {
     })
 }
 
-/// Builds the profile-cache options for a compiled project, keyed by the
-/// same relative-path source digest the serve daemon's caches use (see
-/// DESIGN.md §15 for why paths, not just contents, participate).
-fn profile_cache_options(flags: &CampaignFlags, project: &Project) -> Option<ProfileCacheOptions> {
-    flags.profile_cache.as_ref().map(|dir| {
-        let sources: Vec<(String, String)> = project
-            .files
-            .iter()
-            .map(|file| (file.path.clone(), file.source.clone()))
-            .collect();
-        ProfileCacheOptions {
-            dir: dir.clone(),
-            digest: source_digest(&project.name, &sources),
-            bypass: flags.profile_cache_bypass,
-        }
-    })
-}
-
 fn test(project: &Project, json: bool, flags: &CampaignFlags) -> ExitCode {
     // With `--trace-out`, a metrics recorder rides along via `Tee`; the
     // identify step runs before the dynamic pipeline, so bracket it here
@@ -654,7 +619,6 @@ fn test(project: &Project, json: bool, flags: &CampaignFlags) -> ExitCode {
         capture_timing: flags.trace_out.is_some(),
         adaptive: flags.adaptive,
         disagreement_hints,
-        profile_cache: profile_cache_options(flags, project),
         ..DynamicOptions::default()
     };
     // Progress goes to stderr, so `--json` output on stdout stays clean.
@@ -855,165 +819,6 @@ fn stats(paths: &[String], flags: &CampaignFlags) -> ExitCode {
     }
 }
 
-/// Engine-throughput benchmark over the repro corpus: generates each
-/// paper app at small scale, runs the full dynamic workflow, and reports
-/// runs/sec and interpreter steps/sec as machine-readable JSON. The best
-/// (fastest) of `--iters` repetitions per app is reported, so one noisy
-/// iteration cannot skew the numbers. Driven by `cargo xtask bench`.
-fn bench(mut args: Vec<String>, flags: &CampaignFlags) -> ExitCode {
-    use std::time::Instant;
-
-    let iters = match take_value_flag(&mut args, "--iters") {
-        Ok(Some(value)) => match value.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("invalid --iters value `{value}`");
-                return ExitCode::from(2);
-            }
-        },
-        Ok(None) => 2,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::from(2);
-        }
-    };
-    let apps_filter: Option<Vec<String>> = match take_value_flag(&mut args, "--apps") {
-        Ok(found) => found.map(|list| list.split(',').map(str::to_string).collect()),
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::from(2);
-        }
-    };
-    let scale = match take_value_flag(&mut args, "--scale") {
-        Ok(found) => match found.as_deref() {
-            None | Some("small") => wasabi::corpus::spec::Scale::Small,
-            Some("tiny") => wasabi::corpus::spec::Scale::Tiny,
-            Some("paper") => wasabi::corpus::spec::Scale::Paper,
-            Some(other) => {
-                eprintln!("invalid --scale `{other}` (tiny|small|paper)");
-                return ExitCode::from(2);
-            }
-        },
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let specs: Vec<_> = wasabi::corpus::spec::paper_apps()
-        .into_iter()
-        .filter(|spec| {
-            apps_filter
-                .as_ref()
-                .is_none_or(|wanted| wanted.iter().any(|w| w == spec.short))
-        })
-        .collect();
-    if specs.is_empty() {
-        eprintln!("no apps selected (known: HA HD MA YA HB HI CA EL)");
-        return ExitCode::from(2);
-    }
-
-    let mut app_rows = Vec::new();
-    let (mut runs, mut steps, mut virtual_ms) = (0u64, 0u64, 0u64);
-    let mut wall_us = 0u128;
-    // Per-phase wall time, summed across apps (best iteration each), in
-    // first-appearance order so the JSON reads in pipeline order.
-    let mut phase_totals: Vec<(String, u64)> = Vec::new();
-    for spec in &specs {
-        let app = wasabi::corpus::synth::generate_app(spec, scale);
-        let project = wasabi::corpus::synth::compile_app(&app);
-        let mut llm = SimulatedLlm::with_seed(app.spec.seed);
-        let identified = identify(&project, &mut llm);
-        // (wall_us, runs, steps, virtual_ms, per-phase wall times).
-        type BenchSample = (u128, u64, u64, u64, Vec<(String, u64)>);
-        let mut best: Option<BenchSample> = None;
-        for _ in 0..iters {
-            let options = DynamicOptions {
-                jobs: flags.jobs,
-                adaptive: flags.adaptive,
-                profile_cache: profile_cache_options(flags, &project),
-                ..DynamicOptions::default()
-            };
-            // A metrics recorder attributes the measured wall time to
-            // pipeline phases; the phase sum tiles the measured region.
-            let mut recorder = MetricsObserver::new();
-            let started = Instant::now();
-            let result = run_dynamic_with_observer(
-                &project,
-                &identified.locations,
-                &options,
-                &mut recorder,
-            );
-            let elapsed_us = started.elapsed().as_micros();
-            let phases: Vec<(String, u64)> = recorder
-                .phases()
-                .iter()
-                .map(|p| (p.name.clone(), p.wall_us()))
-                .collect();
-            let sample = (
-                elapsed_us,
-                result.campaign.runs_total as u64,
-                result.campaign.steps,
-                result.campaign.virtual_ms,
-                phases,
-            );
-            if best.as_ref().is_none_or(|b| sample.0 < b.0) {
-                best = Some(sample);
-            }
-        }
-        let (us, app_runs, app_steps, app_virtual, app_phases) = best.expect("iters >= 1");
-        for (name, phase_us) in &app_phases {
-            match phase_totals.iter_mut().find(|(n, _)| n == name) {
-                Some((_, total)) => *total += phase_us,
-                None => phase_totals.push((name.clone(), *phase_us)),
-            }
-        }
-        app_rows.push(Json::obj([
-            ("app", Json::from(spec.short)),
-            ("runs", Json::from(app_runs)),
-            ("steps", Json::from(app_steps)),
-            ("virtual_ms", Json::from(app_virtual)),
-            ("wall_ms", Json::from(us as f64 / 1000.0)),
-            ("phases", phases_to_json(&app_phases)),
-        ]));
-        runs += app_runs;
-        steps += app_steps;
-        virtual_ms += app_virtual;
-        wall_us += us;
-    }
-    let wall_secs = (wall_us as f64 / 1.0e6).max(1.0e-9);
-    let value = Json::obj([
-        ("scale", Json::from(format!("{scale:?}").to_lowercase())),
-        ("jobs", Json::from(flags.jobs)),
-        ("iters", Json::from(iters)),
-        ("apps", Json::arr(app_rows)),
-        (
-            "totals",
-            Json::obj([
-                ("runs", Json::from(runs)),
-                ("steps", Json::from(steps)),
-                ("virtual_ms", Json::from(virtual_ms)),
-                ("wall_ms", Json::from(wall_us as f64 / 1000.0)),
-                ("phases", phases_to_json(&phase_totals)),
-                ("runs_per_sec", Json::from(runs as f64 / wall_secs)),
-                ("steps_per_sec", Json::from(steps as f64 / wall_secs)),
-            ]),
-        ),
-    ]);
-    print!("{}", value.pretty());
-    ExitCode::SUCCESS
-}
-
-/// `{"restore": ms, ...}` per-phase wall-time object for bench rows, in
-/// the order the phases ran.
-fn phases_to_json(phases: &[(String, u64)]) -> Json {
-    Json::obj(
-        phases
-            .iter()
-            .map(|(name, us)| (name.as_str(), Json::from(*us as f64 / 1000.0))),
-    )
-}
-
 /// `wasabi serve`: run the campaign-as-a-service daemon until a client
 /// sends the `shutdown` op. Prints one startup banner line to stdout —
 /// `{"kind":"wasabi-serve","version":1,"addr":"..."}` — so scripts can
@@ -1046,7 +851,6 @@ fn serve(mut args: Vec<String>, flags: &CampaignFlags) -> ExitCode {
         let mut options = ServeOptions {
             scheduler,
             campaign_jobs: flags.jobs,
-            profile_cache: flags.profile_cache.clone(),
             ..ServeOptions::default()
         };
         if let Some(value) = take_value_flag(&mut args, "--cache")? {
@@ -1500,7 +1304,6 @@ fn repair(mut args: Vec<String>, json: bool, flags: &CampaignFlags) -> ExitCode 
         jobs: flags.jobs,
         max_fix_attempts,
         llm_seed,
-        profile_cache: flags.profile_cache.clone(),
         ..wasabi::repair::RepairOptions::default()
     };
     let outcome = match wasabi::repair::repair(&name, sources, &options) {

@@ -1,8 +1,7 @@
-//! Adaptive-mode invariants (`wasabi test --adaptive` and
-//! `--profile-cache`): the adaptive planner must keep fixed-grid recall
-//! on seeded ground truth while executing fewer runs, its report must be
-//! byte-identical across worker counts and resume splits, and a
-//! profile-cache hit must reproduce the fixed-grid report byte-exactly.
+//! Adaptive-mode invariants (`wasabi test --adaptive`): the adaptive
+//! planner must keep fixed-grid recall on seeded ground truth while
+//! executing fewer runs, and its report must be byte-identical across
+//! worker counts and resume splits.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -252,51 +251,10 @@ fn adaptive_report_is_byte_identical_across_resume() {
 }
 
 #[test]
-fn profile_cache_hit_reproduces_byte_identical_report() {
-    let dir = temp_dir("cache");
-    let files = write_apps(
-        &dir,
-        &[("flaky.jav", FLAKY), ("solid.jav", SOLID), ("corrupt.jav", CORRUPT)],
-    );
-    let cache = dir.join("profiles");
-    let cache_arg = cache.to_string_lossy().into_owned();
-    let uncached = test_json(&files, &[]);
-    let cold = test_json(&files, &["--profile-cache", &cache_arg]);
-    let warm = test_json(&files, &["--profile-cache", &cache_arg]);
-    assert_eq!(uncached, cold, "writing the cache must not change the report");
-    assert_eq!(cold, warm, "a cache hit must reproduce the report byte-exactly");
-    assert_eq!(
-        std::fs::read_dir(&cache).expect("cache dir").count(),
-        1,
-        "one digest, one cache entry"
-    );
-    // Bypass still reproduces the report (and refreshes the entry).
-    let bypassed = test_json(
-        &files,
-        &["--profile-cache", &cache_arg, "--profile-cache-bypass"],
-    );
-    assert_eq!(cold, bypassed);
-
-    // Changed sources change the digest: the old entry is ignored (not
-    // silently reused) and a second entry appears.
-    let mut changed = FLAKY.replace("tFlaky", "tFlakyRenamed");
-    changed.push('\n');
-    std::fs::write(dir.join("flaky.jav"), changed).expect("rewrite app");
-    let _ = test_json(&files, &["--profile-cache", &cache_arg]);
-    assert_eq!(
-        std::fs::read_dir(&cache).expect("cache dir").count(),
-        2,
-        "a new digest must get its own entry"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn adaptive_refuses_sharding() {
     for combo in [
         vec!["test", "--adaptive", "--shards", "2", "x.jav"],
         vec!["test", "--adaptive", "--shard-range", "0:4", "x.jav"],
-        vec!["test", "--profile-cache-bypass", "x.jav"],
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_wasabi"))
             .args(&combo)

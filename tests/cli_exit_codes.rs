@@ -54,6 +54,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 fn no_arguments_and_unknown_command_are_usage_errors() {
     assert_eq!(code(&run(&[])), 2);
     assert_eq!(code(&run(&["frobnicate"])), 2);
+    assert_eq!(code(&run(&["bench"])), 2, "removed command: perfbench is the timing harness");
     assert_eq!(code(&run(&["test"])), 2, "no input files");
     assert_eq!(code(&run(&["test", "--jobs", "0", "x.jav"])), 2, "bad flag value");
 }

@@ -1,12 +1,12 @@
-//! Randomized property tests over the language front end, the CFG, and the
-//! planner, driven by the in-repo seeded PRNG (`wasabi::util::Rng`) so the
-//! suite needs no external framework and every failure is reproducible
-//! from the printed seed.
+//! Randomized property tests over the language front end, the CFG, the
+//! planner, and the wire and disk decoders, driven by the in-repo seeded
+//! PRNG (`wasabi::util::Rng`) so the suite needs no external framework
+//! and every failure is reproducible from the printed seed.
 //!
 //! Gated behind the `proptest-suite` feature:
 //! `cargo test --features proptest-suite --test property_tests`.
 
-use wasabi::util::Rng;
+use wasabi::util::{Json, Rng};
 
 // ---- Source generators -----------------------------------------------------
 
@@ -1018,4 +1018,315 @@ fn coverage_prefilter_matches_exhaustive_profile() {
         field_covered, refused,
         "every refusal case covers T0.tField"
     );
+}
+
+// ---- Decoder totality ------------------------------------------------------
+
+/// Valid documents for every wire/disk decoder, produced by the real
+/// writers from a small campaign: serve request lines, journal run
+/// records, dead-letter records, and a trace file.
+struct DecoderSeeds {
+    requests: Vec<String>,
+    records: Vec<String>,
+    dead_letters: Vec<String>,
+    trace: String,
+}
+
+fn decoder_seeds() -> DecoderSeeds {
+    use wasabi::core::dynamic::{run_dynamic_with_observer, DynamicOptions};
+    use wasabi::core::identify::identify;
+    use wasabi::engine::journal::{dead_letter_to_json, record_from_json, DeadLetter};
+    use wasabi::engine::spans::render_trace;
+    use wasabi::engine::MetricsObserver;
+    use wasabi::lang::project::Project;
+    use wasabi::llm::simulated::SimulatedLlm;
+    use wasabi::serve::protocol::{render_request, Request};
+
+    const APP: &str = "\
+exception E;\n\
+class Flaky {\n\
+  method op() throws E { return \"ok\"; }\n\
+  method run() {\n\
+    while (true) {\n\
+      try { return this.op(); } catch (E e) { log(\"retrying \u{e9}\"); }\n\
+    }\n\
+  }\n\
+  test tFlaky() { assert(this.run() == \"ok\"); }\n\
+}\n";
+    let project =
+        Project::compile("seeds", vec![("flaky.jav", APP.to_string())]).expect("seed app compiles");
+    let identified = identify(&project, &mut SimulatedLlm::with_seed(0));
+    let journal =
+        std::env::temp_dir().join(format!("wasabi-decoder-seeds-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let options = DynamicOptions {
+        journal: Some(journal.clone()),
+        ..DynamicOptions::default()
+    };
+    let mut recorder = MetricsObserver::new();
+    run_dynamic_with_observer(&project, &identified.locations, &options, &mut recorder);
+    let text = std::fs::read_to_string(&journal).expect("journal written");
+    let _ = std::fs::remove_file(&journal);
+    let records: Vec<String> = text
+        .lines()
+        .filter(|line| {
+            Json::parse(line)
+                .ok()
+                .is_some_and(|value| record_from_json(&value).is_ok())
+        })
+        .map(str::to_string)
+        .collect();
+    assert!(!records.is_empty(), "seed campaign journaled no run records");
+    let key = record_from_json(&Json::parse(&records[0]).expect("seed record")).expect("seed").key;
+    let dead_letters = ["bisected", "restart cap exhausted"]
+        .iter()
+        .map(|reason| {
+            dead_letter_to_json(&DeadLetter {
+                key: key.clone(),
+                shard: 3,
+                exit: "signal 9".to_string(),
+                restarts: 2,
+                reason: reason.to_string(),
+            })
+            .to_string()
+        })
+        .collect();
+    let requests = [
+        Request::Submit {
+            name: "cli".to_string(),
+            priority: 5,
+            files: vec![("flaky.jav".to_string(), APP.to_string())],
+            jobs: Some(2),
+            shards: Some(4),
+        },
+        Request::Status { id: 7 },
+        Request::Cancel { id: 7 },
+        Request::Subscribe { id: 7 },
+        Request::Wait { id: 7 },
+        Request::Stats,
+        Request::Shutdown {
+            drain: true,
+            deadline_ms: Some(250),
+        },
+    ]
+    .iter()
+    .map(render_request)
+    .collect();
+    DecoderSeeds {
+        requests,
+        records,
+        dead_letters,
+        trace: render_trace("seeds", recorder.phases(), recorder.runs()),
+    }
+}
+
+/// Text fragments that have broken decoders before: nesting far past any
+/// stack, lone/invalid surrogates, signed `\u` escapes, and out-of-range
+/// numbers.
+fn gen_hostile_fragment(rng: &mut Rng) -> String {
+    const ESCAPES: &[&str] = &[
+        "\\uD800\\u0000",
+        "\\uDBFF\\uE000",
+        "\\uD800\\uD800",
+        "\\uD800",
+        "\\uDC00",
+        "\\u+041",
+        "\\u-041",
+        "\\u004",
+        "\\u",
+    ];
+    match rng.below(6) {
+        0 => "[".repeat(1 + rng.below(100_000) as usize),
+        1 => "{\"a\":".repeat(1 + rng.below(20_000) as usize),
+        2 => format!("\"{}\"", rng.pick(ESCAPES)),
+        3 => rng.pick(ESCAPES).to_string(),
+        4 => rng
+            .pick(&["99999999999999999999", "-9223372036854775809", "-1", "1e999", "-0.5"])
+            .to_string(),
+        _ => gen_garbage(rng, 40),
+    }
+}
+
+/// Arbitrary bytes (not necessarily UTF-8), rendered lossily: the
+/// decoders take `&str`, as they do after a line read.
+fn gen_bytes(rng: &mut Rng, max_len: usize) -> String {
+    let len = rng.below(max_len as u64 + 1) as usize;
+    let bytes: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// One SplitMix64-driven edit of a valid document's text.
+fn mutate_text(rng: &mut Rng, doc: &str) -> String {
+    let mut bytes = doc.as_bytes().to_vec();
+    let at = |rng: &mut Rng, len: usize| rng.below(len as u64 + 1) as usize;
+    for _ in 0..1 + rng.below(3) {
+        let len = bytes.len();
+        match rng.below(7) {
+            0 if len > 0 => {
+                let i = at(rng, len - 1);
+                bytes[i] = rng.below(256) as u8;
+            }
+            1 => {
+                let (a, b) = (at(rng, len), at(rng, len));
+                bytes.drain(a.min(b)..a.max(b));
+            }
+            2 => {
+                let (a, b) = (at(rng, len), at(rng, len));
+                let copy = bytes[a.min(b)..a.max(b)].to_vec();
+                let i = at(rng, len);
+                bytes.splice(i..i, copy);
+            }
+            3 => bytes.truncate(at(rng, len)),
+            _ => {
+                // Splice a hostile fragment, preferably right after a
+                // quote so escapes land inside a string.
+                let quotes: Vec<usize> = (0..len).filter(|&i| bytes[i] == b'"').collect();
+                let i = if !quotes.is_empty() && rng.chance(0.5) {
+                    quotes[rng.below(quotes.len() as u64) as usize] + 1
+                } else {
+                    at(rng, len)
+                };
+                let fragment = gen_hostile_fragment(rng);
+                bytes.splice(i..i, fragment.into_bytes());
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// A random JSON value, including shapes and magnitudes no writer emits.
+fn gen_json(rng: &mut Rng, depth: u32) -> Json {
+    match rng.below(if depth == 0 { 6 } else { 8 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.chance(0.5)),
+        2 => Json::Int(*rng.pick(&[0, 1, -1, 7, i64::MAX, i64::MIN, u32::MAX as i64 + 1])),
+        3 => Json::Float(*rng.pick(&[0.5, -1.0, 1e300, f64::NAN, f64::INFINITY])),
+        4 => Json::from(gen_garbage(rng, 12)),
+        5 => Json::from(*rng.pick(&["ok", "crashed", "timed_out", "bisected", "submit", "cli"])),
+        6 => Json::arr((0..rng.below(4)).map(|_| gen_json(rng, depth - 1))),
+        _ => Json::obj((0..rng.below(4)).map(|_| (gen_garbage(rng, 6), gen_json(rng, depth - 1)))),
+    }
+}
+
+/// One structural edit of a valid value: replace a random node with a
+/// random value, or drop a random object field.
+fn mutate_value(rng: &mut Rng, value: &mut Json) {
+    let descend = rng.chance(0.7);
+    match value {
+        Json::Obj(fields) if !fields.is_empty() => {
+            let i = rng.below(fields.len() as u64) as usize;
+            if descend {
+                mutate_value(rng, &mut fields[i].1);
+            } else if rng.chance(0.5) {
+                fields.remove(i);
+            } else {
+                fields[i].1 = gen_json(rng, 2);
+            }
+        }
+        Json::Arr(items) if !items.is_empty() && descend => {
+            let i = rng.below(items.len() as u64) as usize;
+            mutate_value(rng, &mut items[i]);
+        }
+        _ => *value = gen_json(rng, 2),
+    }
+}
+
+/// Runs `decode` on `input`; a panic fails the test with the case and a
+/// prefix of the offending input.
+fn assert_total<T>(
+    what: &str,
+    case: u64,
+    input: &str,
+    decode: impl FnOnce(&str) -> Result<T, String>,
+) {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = decode(input);
+    }));
+    if outcome.is_err() {
+        let prefix: String = input.chars().take(160).collect();
+        panic!("[{what} case {case}] decoder panicked on input starting {prefix:?}");
+    }
+}
+
+/// Every decoder of wire or disk bytes is total: random bytes, hostile
+/// fragments, and text and structural mutations of valid documents all
+/// come back as `Ok` or `Err`, never a panic or a stack overflow.
+#[test]
+fn decoders_total_on_arbitrary_and_mutated_input() {
+    use wasabi::engine::journal::{dead_letter_from_json, record_from_json};
+    use wasabi::engine::spans::parse_trace;
+    use wasabi::serve::protocol::parse_request;
+
+    let seeds = decoder_seeds();
+    // The seeds are valid to begin with, so mutations start inside the
+    // decoders' accepted language.
+    for line in &seeds.requests {
+        parse_request(line).unwrap_or_else(|e| panic!("seed request rejected: {e}\n{line}"));
+    }
+    for line in &seeds.dead_letters {
+        dead_letter_from_json(&Json::parse(line).expect("seed dead letter"))
+            .unwrap_or_else(|e| panic!("seed dead letter rejected: {e}\n{line}"));
+    }
+    parse_trace(&seeds.trace).unwrap_or_else(|e| panic!("seed trace rejected: {e}"));
+
+    let json_docs: Vec<&String> = seeds
+        .requests
+        .iter()
+        .chain(&seeds.records)
+        .chain(&seeds.dead_letters)
+        .collect();
+    let record =
+        |text: &str| -> Result<(), String> { record_from_json(&Json::parse(text)?).map(drop) };
+    let dead_letter =
+        |text: &str| -> Result<(), String> { dead_letter_from_json(&Json::parse(text)?).map(drop) };
+    // A seed document after one to three structural mutations.
+    let mutated = |rng: &mut Rng, docs: &[String]| {
+        let mut value = Json::parse(rng.pick(docs).as_str()).expect("seed document parses");
+        for _ in 0..1 + rng.below(3) {
+            mutate_value(rng, &mut value);
+        }
+        value
+    };
+    let trace_lines: Vec<&str> = seeds.trace.lines().collect();
+
+    for case in 0..400u64 {
+        let mut rng = Rng::new(0xdec0_0000 + case);
+        let input = match case % 4 {
+            0 => gen_bytes(&mut rng, 300),
+            1 => gen_hostile_fragment(&mut rng),
+            _ => {
+                let doc = *rng.pick(&json_docs);
+                mutate_text(&mut rng, doc)
+            }
+        };
+        assert_total("json", case, &input, Json::parse);
+        assert_total("request", case, &input, parse_request);
+        assert_total("record", case, &input, record);
+        assert_total("dead letter", case, &input, dead_letter);
+        assert_total("trace", case, &input, parse_trace);
+
+        // Structural mutations reach past the JSON layer into the typed
+        // decoders' field handling.
+        let value = mutated(&mut rng, &seeds.requests);
+        assert_total("request value", case, &value.to_string(), parse_request);
+        let value = mutated(&mut rng, &seeds.records);
+        assert_total("record value", case, &value.to_string(), |_| {
+            record_from_json(&value).map(drop)
+        });
+        let value = mutated(&mut rng, &seeds.dead_letters);
+        assert_total("dead letter value", case, &value.to_string(), |_| {
+            dead_letter_from_json(&value).map(drop)
+        });
+
+        // A trace with one line text-mutated and one value-mutated.
+        let mut lines: Vec<String> = trace_lines.iter().map(|l| l.to_string()).collect();
+        let i = rng.below(lines.len() as u64) as usize;
+        lines[i] = mutate_text(&mut rng, &lines[i]);
+        let j = rng.below(lines.len() as u64) as usize;
+        if let Ok(mut value) = Json::parse(&lines[j]) {
+            mutate_value(&mut rng, &mut value);
+            lines[j] = value.to_string();
+        }
+        assert_total("trace mutation", case, &lines.join("\n"), parse_trace);
+    }
 }
