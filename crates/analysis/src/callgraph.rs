@@ -11,9 +11,13 @@
 //!   over-approximates dynamic dispatch exactly.
 //! - **typed receivers** (`new C().m()`, locals assigned `new C(...)`,
 //!   fields initialised `new C(...)`) resolve through `C`'s table alone.
-//! - **unknown receivers** fall back to the set of distinct dispatch
-//!   targets for the method name across all classes; a unique target
+//! - **unknown receivers** fall back to every compiled method of the
+//!   called name ([`ProgramIndex::methods_named`]); a unique target
 //!   resolves, anything else stays a may-set.
+//!
+//! Parameters are never typed: a caller may pass any receiver, so a
+//! `new` assigned to a parameter slot proves nothing about its other
+//! values.
 //!
 //! Everything is computed from dense ids in declaration order — no hash
 //! iteration escapes into results — so the graph is byte-stable across
@@ -55,7 +59,7 @@ impl CallGraph {
         let mut calls = Vec::with_capacity(index.methods.len());
         let mut callees = Vec::with_capacity(index.methods.len());
         for method in &index.methods {
-            let locals = infer_local_types(&method.body);
+            let locals = infer_local_types(&method.body, method.params);
             let resolver = CallResolver {
                 index,
                 field_types: &field_types,
@@ -186,9 +190,10 @@ fn walk_assignments(stmts: &[LStmt], visit: &mut dyn FnMut(Symbol, &LExpr)) {
 }
 
 /// Flow-insensitive local typing: slots only ever assigned `new C(...)`
-/// for a single `C` get that type.
-fn infer_local_types(stmts: &[LStmt]) -> HashMap<Slot, ClassId> {
-    let mut types: HashMap<Slot, Option<ClassId>> = HashMap::new();
+/// for a single `C` get that type. Parameter slots `0..params` start
+/// poisoned, since the caller's argument is one more unknown value.
+fn infer_local_types(stmts: &[LStmt], params: u32) -> HashMap<Slot, ClassId> {
+    let mut types: HashMap<Slot, Option<ClassId>> = (0..params).map(|p| (p, None)).collect();
     collect_local_types(stmts, &mut types);
     types
         .into_iter()
@@ -287,38 +292,13 @@ impl<'a> CallResolver<'a> {
     }
 
     fn resolve(&self, recv: Option<&LExpr>, method: Symbol) -> Vec<u32> {
-        let mut targets = Vec::new();
         match recv {
-            // Implicit or explicit `this`: at run time the receiver is the
-            // declaring class or any subclass of it — exactly the classes
-            // whose dispatch tables the interpreter would consult.
-            None | Some(LExpr::This) => {
-                for class in self.index.subtypes_of_class(self.owner) {
-                    if let Some(midx) = self.index.resolve_dispatch(class, method) {
-                        targets.push(midx);
-                    }
-                }
-            }
+            None | Some(LExpr::This) => self.index.this_call_targets(self.owner, method),
             Some(expr) => match self.static_class(expr) {
-                Some(class) => {
-                    if let Some(midx) = self.index.resolve_dispatch(class, method) {
-                        targets.push(midx);
-                    }
-                }
-                None => {
-                    // Unknown receiver type: any class answering to the
-                    // name is a may-target.
-                    for cidx in 0..self.index.classes.len() as u32 {
-                        if let Some(midx) = self.index.resolve_dispatch(ClassId(cidx), method) {
-                            targets.push(midx);
-                        }
-                    }
-                }
+                Some(class) => self.index.resolve_dispatch(class, method).into_iter().collect(),
+                None => self.index.methods_named(method).to_vec(),
             },
         }
-        targets.sort_unstable();
-        targets.dedup();
-        targets
     }
 }
 
@@ -465,6 +445,26 @@ mod tests {
         let cg = CallGraph::build(&p);
         let run = method_idx(&p, "Main", "run");
         assert_eq!(cg.callees[run as usize].len(), 2);
+    }
+
+    #[test]
+    fn reassigned_parameters_stay_untyped() {
+        // `x` is whatever the caller passed until the reassignment, so
+        // the call may reach `B.go` (as `run(new B())` does) even though
+        // the only `new` assigned to `x` is an `A`.
+        let p = project(
+            "class A { method go() { return 1; } }\n\
+             class B { method go() { return 2; } }\n\
+             class Main {\n\
+               method run(x) { var r = x.go(); x = new A(); return r; }\n\
+               test t() { assert(this.run(new B()) == 2); }\n\
+             }",
+        );
+        let cg = CallGraph::build(&p);
+        let run = method_idx(&p, "Main", "run");
+        let a_go = method_idx(&p, "A", "go");
+        let b_go = method_idx(&p, "B", "go");
+        assert_eq!(cg.callees[run as usize], vec![a_go, b_go]);
     }
 
     #[test]

@@ -2,22 +2,22 @@
 //!
 //! Like the paper's CodeQL queries, resolution is *static and approximate*:
 //! calls on `this` resolve through the enclosing class hierarchy; calls on
-//! other receivers resolve only when the method name names a single
-//! dispatch target across the project. Unresolvable calls are skipped,
-//! which is a (realistic) source of false negatives.
+//! other receivers resolve only when exactly one compiled method carries
+//! the called name. Unresolvable calls are skipped, which is a (realistic)
+//! source of false negatives.
 //!
-//! Resolution consults the compiled [`ProgramIndex`] dispatch tables — the
-//! same tables the VM dispatches through — rather than a parallel
-//! name-matching structure, so static targets can never drift from runtime
-//! targets. [`ProjectIndex::resolve_callee`] keeps the historical
-//! single-target contract (the statically enclosing class's view);
+//! Resolution consults the compiled [`ProgramIndex`] call-target tables —
+//! the dispatch tables the VM dispatches through, plus the per-name method
+//! table — rather than a parallel name-matching structure, so static
+//! targets can never drift from runtime targets.
+//! [`ProjectIndex::resolve_callee`] keeps the historical single-target
+//! contract (the statically enclosing class's view);
 //! [`ProjectIndex::resolve_targets`] returns the full dispatch-consistent
 //! may-set, which includes subclass overrides a `this` call can reach at
 //! runtime.
 
-use std::collections::HashMap;
 use wasabi_lang::ast::{Item, LoopId, MethodDecl, Stmt};
-use wasabi_lang::index::{ClassId, ProgramIndex};
+use wasabi_lang::index::ProgramIndex;
 use wasabi_lang::project::{FileId, MethodId, Project};
 
 /// Where a loop lives: file, enclosing class/method, and the loop statement.
@@ -38,8 +38,6 @@ pub struct LoopSite<'p> {
 /// Precomputed project-wide lookup structures.
 pub struct ProjectIndex<'p> {
     project: &'p Project,
-    /// Method name → declaring (class, decl) pairs.
-    by_name: HashMap<&'p str, Vec<(&'p str, &'p MethodDecl)>>,
     /// All loops in the project.
     loops: Vec<LoopSite<'p>>,
 }
@@ -47,16 +45,11 @@ pub struct ProjectIndex<'p> {
 impl<'p> ProjectIndex<'p> {
     /// Builds the index by walking every method in the project.
     pub fn build(project: &'p Project) -> Self {
-        let mut by_name: HashMap<&str, Vec<(&str, &MethodDecl)>> = HashMap::new();
         let mut loops = Vec::new();
         for (fidx, file) in project.files.iter().enumerate() {
             for item in &file.items {
                 let Item::Class(class) = item else { continue };
                 for method in &class.methods {
-                    by_name
-                        .entry(method.name.as_str())
-                        .or_default()
-                        .push((class.name.as_str(), method));
                     wasabi_lang::ast::walk_stmts(&method.body, &mut |stmt| {
                         match stmt {
                             Stmt::While { id, .. } | Stmt::For { id, .. } => {
@@ -75,11 +68,7 @@ impl<'p> ProjectIndex<'p> {
                 }
             }
         }
-        ProjectIndex {
-            project,
-            by_name,
-            loops,
-        }
+        ProjectIndex { project, loops }
     }
 
     /// The underlying project.
@@ -96,32 +85,23 @@ impl<'p> ProjectIndex<'p> {
     fn compiled_target(&self, midx: u32) -> Option<(MethodId, &'p MethodDecl)> {
         let index: &ProgramIndex = &self.project.index;
         let compiled = &index.methods[midx as usize];
-        let owner = index.classes[compiled.owner.0 as usize].name_str.as_str();
+        let owner = &index.classes[compiled.owner.0 as usize].name_str;
         let name = index.interner.resolve(compiled.name);
-        self.by_name
-            .get(name)?
-            .iter()
-            .find(|(class, _)| *class == owner)
-            .map(|&(class, decl)| (MethodId::new(class, name), decl))
+        let decl = self.project.class_decl(owner)?;
+        let method = decl.methods.iter().find(|m| m.name == name)?;
+        Some((MethodId::new(owner, name), method))
     }
 
-    /// The single dispatch target for `method` anywhere in the program, if
-    /// exactly one class hierarchy defines it.
+    /// The single method named `method` anywhere in the program, if
+    /// exactly one class declares it; two or more make the name
+    /// ambiguous, and the call stays unresolved like a purely syntactic
+    /// query would leave it.
     fn unique_foreign_target(&self, method: &str) -> Option<u32> {
         let index: &ProgramIndex = &self.project.index;
-        let sym = index.interner.lookup(method)?;
-        let mut target = None;
-        for cid in (0..index.classes.len() as u32).map(ClassId) {
-            match (index.resolve_dispatch(cid, sym), target) {
-                (None, _) => {}
-                (Some(midx), None) => target = Some(midx),
-                (Some(midx), Some(t)) if midx == t => {}
-                // Two distinct targets: ambiguous, give up like a purely
-                // syntactic query.
-                (Some(_), Some(_)) => return None,
-            }
+        match index.methods_named(index.interner.lookup(method)?) {
+            &[only] => Some(only),
+            _ => None,
         }
-        target
     }
 
     /// Resolves a called method statically to a single target.
@@ -160,24 +140,17 @@ impl<'p> ProjectIndex<'p> {
         recv_this: bool,
     ) -> Vec<(MethodId, &'p MethodDecl)> {
         let index: &ProgramIndex = &self.project.index;
-        let mut mids: Vec<u32> = Vec::new();
-        if recv_this {
+        let mids: Vec<u32> = if recv_this {
             let (Some(cid), Some(sym)) = (
                 index.class_by_name(enclosing_class),
                 index.interner.lookup(method),
             ) else {
                 return Vec::new();
             };
-            for sub in index.subtypes_of_class(cid) {
-                if let Some(midx) = index.resolve_dispatch(sub, sym) {
-                    mids.push(midx);
-                }
-            }
-        } else if let Some(midx) = self.unique_foreign_target(method) {
-            mids.push(midx);
-        }
-        mids.sort_unstable();
-        mids.dedup();
+            index.this_call_targets(cid, sym)
+        } else {
+            self.unique_foreign_target(method).into_iter().collect()
+        };
         mids.into_iter()
             .filter_map(|m| self.compiled_target(m))
             .collect()

@@ -314,7 +314,23 @@ pub struct ShardManifest {
 /// written once before any child starts).
 pub fn write_manifest(dir: &Path, manifest: &ShardManifest) -> Result<(), String> {
     let path = manifest_path(dir);
-    let value = Json::obj([
+    std::fs::write(&path, manifest_to_json(manifest).pretty())
+        .map_err(|err| format!("write manifest {}: {err}", path.display()))
+}
+
+/// Reads a manifest back; exact inverse of [`write_manifest`].
+pub fn load_manifest(dir: &Path) -> Result<ShardManifest, String> {
+    let path = manifest_path(dir);
+    let text = std::fs::read_to_string(&path)
+        .map_err(|err| format!("read manifest {}: {err}", path.display()))?;
+    Json::parse(&text)
+        .and_then(|value| manifest_from_json(&value))
+        .map_err(|err| format!("manifest {}: {err}", path.display()))
+}
+
+/// The manifest as the JSON document [`write_manifest`] stores.
+pub fn manifest_to_json(manifest: &ShardManifest) -> Json {
+    Json::obj([
         ("kind", Json::from("wasabi-shard-manifest")),
         ("schema_version", Json::from(MANIFEST_SCHEMA_VERSION)),
         ("shards", Json::from(manifest.shards as u64)),
@@ -330,67 +346,70 @@ pub fn write_manifest(dir: &Path, manifest: &ShardManifest) -> Result<(), String
         ),
         ("source_digest", Json::from(format!("{:016x}", manifest.source_digest))),
         ("files", Json::arr(manifest.files.iter().map(|f| Json::from(f.as_str())))),
-    ]);
-    std::fs::write(&path, value.pretty())
-        .map_err(|err| format!("write manifest {}: {err}", path.display()))
+    ])
 }
 
-/// Reads a manifest back; exact inverse of [`write_manifest`].
-pub fn load_manifest(dir: &Path) -> Result<ShardManifest, String> {
-    let path = manifest_path(dir);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|err| format!("read manifest {}: {err}", path.display()))?;
-    let value = Json::parse(&text).map_err(|err| format!("manifest {}: {err}", path.display()))?;
-    let context = |err: &str| format!("manifest {}: {err}", path.display());
+/// Decodes a manifest document; the inverse of [`manifest_to_json`].
+/// Total: any value that is not a well-formed manifest is an `Err`,
+/// including one whose `ranges` do not tile `0..total_runs` in exactly
+/// `shards` contiguous pieces, so no later step sizes anything by an
+/// unchecked count.
+pub fn manifest_from_json(value: &Json) -> Result<ShardManifest, String> {
     if value.get("kind").and_then(Json::as_str) != Some("wasabi-shard-manifest") {
-        return Err(context("missing manifest header"));
+        return Err("missing manifest header".into());
     }
     let version = value.get("schema_version").and_then(Json::as_i64);
     if version != Some(MANIFEST_SCHEMA_VERSION) {
-        return Err(context(&format!(
+        return Err(format!(
             "schema_version {version:?} (this build reads {MANIFEST_SCHEMA_VERSION})"
-        )));
+        ));
     }
     let usize_field = |name: &str| -> Result<usize, String> {
         value
             .get(name)
             .and_then(Json::as_u64)
-            .map(|n| n as usize)
-            .ok_or_else(|| context(&format!("missing {name}")))
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or_else(|| format!("missing {name}"))
     };
+    let (shards, total_runs) = (usize_field("shards")?, usize_field("total_runs")?);
     let ranges = value
         .get("ranges")
         .and_then(Json::as_arr)
-        .ok_or_else(|| context("missing ranges"))?
+        .ok_or("missing ranges")?
         .iter()
         .map(|pair| match pair.as_arr() {
             Some([a, b]) => match (a.as_u64(), b.as_u64()) {
                 (Some(a), Some(b)) => Ok((a as usize, b as usize)),
-                _ => Err(context("range bounds must be unsigned ints")),
+                _ => Err("range bounds must be unsigned ints"),
             },
-            _ => Err(context("range must be [start, end]")),
+            _ => Err("range must be [start, end]"),
         })
         .collect::<Result<Vec<_>, _>>()?;
+    if ranges.len() != shards {
+        return Err(format!("{} ranges for {shards} shards", ranges.len()));
+    }
+    let tiled = ranges
+        .iter()
+        .try_fold(0, |next, &(start, end)| (start == next && end >= start).then_some(end));
+    if tiled != Some(total_runs) {
+        return Err(format!("ranges do not tile 0..{total_runs} contiguously"));
+    }
     let digest_text = value
         .get("source_digest")
         .and_then(Json::as_str)
-        .ok_or_else(|| context("missing source_digest"))?;
+        .ok_or("missing source_digest")?;
     let source_digest = u64::from_str_radix(digest_text, 16)
-        .map_err(|_| context("source_digest must be 16 hex digits"))?;
+        .map_err(|_| "source_digest must be 16 hex digits".to_string())?;
     let files = value
         .get("files")
         .and_then(Json::as_arr)
-        .ok_or_else(|| context("missing files"))?
+        .ok_or("missing files")?
         .iter()
-        .map(|f| {
-            f.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| context("file entries must be strings"))
-        })
+        .map(|f| f.as_str().map(str::to_string).ok_or("file entries must be strings"))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(ShardManifest {
-        shards: usize_field("shards")?,
-        total_runs: usize_field("total_runs")?,
+        shards,
+        total_runs,
         ranges,
         source_digest,
         files,

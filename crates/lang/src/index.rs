@@ -9,7 +9,10 @@
 //! - **Interned names** ([`Symbol`]) for classes, methods, fields, locals,
 //!   exception types, and config keys — the hot path compares `u32`s.
 //! - **Method-resolution tables**: each class carries a flattened dispatch
-//!   table with the superclass walk done at compile time.
+//!   table with the superclass walk done at compile time, and two [`Csr`]
+//!   tables answer the static call-target questions: every method of a
+//!   name ([`ProgramIndex::methods_named`]) and every class a `this` may
+//!   be ([`ProgramIndex::this_call_targets`]).
 //! - **Field layouts** ([`FieldLayout`]): object fields live in a `Vec`
 //!   indexed by slot instead of a `HashMap<String, Value>`.
 //! - **Local slots**: every method body is lowered to [`LStmt`]/[`LExpr`]
@@ -209,7 +212,10 @@ pub struct ProgramIndex {
     config_by_sym: Vec<(Symbol, u32)>,
     /// `exc_matrix[sub * n + sup]` ⇔ `sub` is a subtype of `sup`.
     exc_matrix: Vec<bool>,
-    class_matrix: Vec<bool>,
+    /// Row `c`: class `c` and every subclass of it, ascending.
+    subclasses: Csr,
+    /// Row `s`: every compiled method named `Symbol(s)`, ascending.
+    methods_by_name: Csr,
     /// Well-known symbols and exception ids.
     pub wk: WellKnown,
 }
@@ -247,9 +253,10 @@ impl ProgramIndex {
         self.exc_matrix[sub.0 as usize * self.exceptions.len() + sup.0 as usize]
     }
 
-    /// Whether class `sub` is `sup` or a descendant — a table lookup.
+    /// Whether class `sub` is `sup` or a descendant — a binary search of
+    /// `sup`'s subclass row.
     pub fn is_class_subtype(&self, sub: ClassId, sup: ClassId) -> bool {
-        self.class_matrix[sub.0 as usize * self.classes.len() + sup.0 as usize]
+        self.subclasses.row(sup.0 as usize).binary_search(&sub.0).is_ok()
     }
 
     /// Resolves `method` on `class` via the flattened dispatch table.
@@ -257,22 +264,28 @@ impl ProgramIndex {
         lookup_sorted(&self.classes[class.0 as usize].dispatch, method)
     }
 
-    /// The full flattened dispatch table of `class`:
-    /// `(method name, index into methods)`, sorted by symbol, inherited
-    /// entries included. This is the same table the interpreter consults,
-    /// exposed so static analyses resolve calls identically.
-    pub fn dispatch_entries(&self, class: ClassId) -> &[(Symbol, u32)] {
-        &self.classes[class.0 as usize].dispatch
+    /// Every compiled method named `name`, ascending. Each method is its
+    /// owner's dispatch entry for its name (validation forbids duplicate
+    /// methods in a class), so this row is also the union of all classes'
+    /// dispatch targets for `name`: the targets of a call whose receiver
+    /// type is unknown.
+    pub fn methods_named(&self, name: Symbol) -> &[u32] {
+        self.methods_by_name.row(name.index())
     }
 
-    /// All classes that are `class` or a subclass of it, ascending by id.
-    /// Static this-call resolution uses this to over-approximate dynamic
-    /// dispatch: at run time `this` may be any subtype of the declaring
-    /// class.
-    pub fn subtypes_of_class(&self, class: ClassId) -> impl Iterator<Item = ClassId> + '_ {
-        (0..self.classes.len() as u32)
-            .map(ClassId)
-            .filter(move |&sub| self.is_class_subtype(sub, class))
+    /// The dispatch targets of `method` on `class` and on every subclass
+    /// of it, sorted and deduped: the targets of a `this` call in a method
+    /// of `class`, since at run time `this` may be any subtype.
+    pub fn this_call_targets(&self, class: ClassId, method: Symbol) -> Vec<u32> {
+        let mut targets: Vec<u32> = self
+            .subclasses
+            .row(class.0 as usize)
+            .iter()
+            .filter_map(|&sub| self.resolve_dispatch(ClassId(sub), method))
+            .collect();
+        targets.sort_unstable();
+        targets.dedup();
+        targets
     }
 
     /// Renders a method index as `DeclaringClass.method`.
@@ -290,6 +303,49 @@ impl ProgramIndex {
     /// instanceof types declared, no duplicate methods, known parents).
     pub fn build(files: &[SourceFile], symbols: &SymbolTable) -> ProgramIndex {
         Builder::run(files, symbols)
+    }
+}
+
+/// A compressed-sparse-row table: row `r` is the slice
+/// `values[offsets[r]..offsets[r + 1]]`.
+#[derive(Debug, Default)]
+pub struct Csr {
+    offsets: Vec<u32>,
+    values: Vec<u32>,
+}
+
+impl Csr {
+    /// Groups `(row, value)` pairs into `rows` rows by a stable counting
+    /// sort: within a row, values keep the order of `pairs`.
+    pub fn from_pairs(rows: usize, pairs: &[(u32, u32)]) -> Csr {
+        let mut offsets = vec![0u32; rows + 1];
+        for &(row, _) in pairs {
+            offsets[row as usize + 1] += 1;
+        }
+        for r in 0..rows {
+            offsets[r + 1] += offsets[r];
+        }
+        let mut cursor = offsets.clone();
+        let mut values = vec![0u32; pairs.len()];
+        for &(row, value) in pairs {
+            let slot = &mut cursor[row as usize];
+            values[*slot as usize] = value;
+            *slot += 1;
+        }
+        Csr { offsets, values }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Row `r`; empty past the last row.
+    pub fn row(&self, r: usize) -> &[u32] {
+        match (self.offsets.get(r), self.offsets.get(r + 1)) {
+            (Some(&lo), Some(&hi)) => &self.values[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 }
 
@@ -712,11 +768,11 @@ impl<'a> Builder<'a> {
             .iter()
             .map(|(_, class)| class.parent.as_ref().map(|p| b.class_ids[p]))
             .collect();
-        let class_matrix =
-            ancestry_matrix(decls.len(), |i| parents[i].map(|p| p.0 as usize));
 
         // Layouts, field initializers, and method bodies.
         let mut classes: Vec<ClassDef> = Vec::with_capacity(decls.len());
+        // `(ancestor, class)` pairs, a class counting as its own ancestor.
+        let mut ancestry: Vec<(u32, u32)> = Vec::new();
         let mut methods: Vec<CompiledMethod> = Vec::new();
         let mut own_methods: Vec<Vec<(Symbol, u32)>> = Vec::with_capacity(decls.len());
         for (idx, (file, class)) in decls.iter().enumerate() {
@@ -728,6 +784,7 @@ impl<'a> Builder<'a> {
                 cursor = parents[p.0 as usize];
             }
             chain.reverse();
+            ancestry.extend(chain.iter().map(|&ci| (ci as u32, idx as u32)));
 
             // Field slots: first declaration along the chain wins the slot;
             // a shadowing redeclaration reuses it (matching the HashMap
@@ -850,6 +907,13 @@ impl<'a> Builder<'a> {
             .map(|(i, c)| (c.sym, i as u32))
             .collect();
         config_by_sym.sort_unstable_by_key(|&(sym, _)| sym);
+        let names: Vec<(u32, u32)> = methods
+            .iter()
+            .enumerate()
+            .map(|(m, method)| (method.name.0, m as u32))
+            .collect();
+        let methods_by_name = Csr::from_pairs(b.interner.len(), &names);
+        let subclasses = Csr::from_pairs(classes.len(), &ancestry);
 
         ProgramIndex {
             interner: b.interner,
@@ -861,7 +925,8 @@ impl<'a> Builder<'a> {
             exc_by_sym,
             config_by_sym,
             exc_matrix,
-            class_matrix,
+            subclasses,
+            methods_by_name,
             wk,
         }
     }

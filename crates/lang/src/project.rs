@@ -183,18 +183,6 @@ impl SymbolTable {
             }
         }
     }
-
-    /// All declared exception types that are subtypes of `sup`.
-    pub fn exception_subtypes(&self, sup: &str) -> Vec<&str> {
-        let mut out: Vec<&str> = self
-            .exceptions
-            .keys()
-            .filter(|name| self.is_exception_subtype(name, sup))
-            .map(String::as_str)
-            .collect();
-        out.sort_unstable();
-        out
-    }
 }
 
 /// A compiled multi-file Javelin program.
@@ -597,17 +585,6 @@ mod tests {
     fn parse_errors_carry_paths() {
         let err = Project::compile("t", vec![("bad.jav", "class {")]).unwrap_err();
         assert_eq!(err[0].path, "bad.jav");
-    }
-
-    #[test]
-    fn exception_subtypes_lists_descendants() {
-        let p = compile(&[(
-            "e.jav",
-            "exception IOException;\nexception ConnectException extends IOException;\n\
-             exception SocketException extends IOException;\nclass A { }",
-        )]);
-        let subs = p.symbols.exception_subtypes("IOException");
-        assert_eq!(subs, vec!["ConnectException", "IOException", "SocketException"]);
     }
 
     #[test]

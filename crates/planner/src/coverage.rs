@@ -7,7 +7,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use wasabi_analysis::loops::RetryLocation;
 use wasabi_inject::CoverageRecorder;
-use wasabi_lang::index::{visit_expr, visit_exprs, ClassId, LExpr, ProgramIndex};
+use wasabi_lang::index::{visit_expr, visit_exprs, ClassId, Csr, LExpr, ProgramIndex};
 use wasabi_lang::intern::Symbol;
 use wasabi_lang::project::{CallSite, FileId, MethodId, Project};
 use wasabi_vm::runner::{run_test, RunOptions};
@@ -199,8 +199,9 @@ pub fn reachable_test_mask(
 
 /// The prefilter's reverse call graph in compressed sparse row form.
 /// Nodes `0..methods` are the compiled methods (`ProgramIndex::methods`
-/// indices); the nodes after them are one vertex per distinct method name.
-/// Edges run from a callee towards everything that may call it:
+/// indices); node `methods + s` is the name vertex of `Symbol(s)`, one
+/// per row of [`ProgramIndex::methods_named`]. Edges run from a callee
+/// towards everything that may call it:
 ///
 /// - each method → its name's vertex;
 /// - each name vertex → every method whose body calls that name;
@@ -213,9 +214,8 @@ pub fn reachable_test_mask(
 /// name buckets (generated suites define the same helper names thousands
 /// of times).
 struct ReverseGraph {
-    /// `targets[offsets[v]..offsets[v + 1]]` are the successors of `v`.
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
+    /// Row `v` holds the successors of node `v`.
+    edges: Csr,
     /// Methods whose body contains an instrumented call site.
     roots: Vec<u32>,
 }
@@ -223,14 +223,13 @@ struct ReverseGraph {
 impl ReverseGraph {
     /// Every node reachable from a root, as a per-node flag.
     fn reach(&self) -> Vec<bool> {
-        let mut reach = vec![false; self.offsets.len() - 1];
+        let mut reach = vec![false; self.edges.rows()];
         for &root in &self.roots {
             reach[root as usize] = true;
         }
         let mut frontier = self.roots.clone();
         while let Some(v) = frontier.pop() {
-            let (lo, hi) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
-            for &next in &self.targets[lo as usize..hi as usize] {
+            for &next in self.edges.row(v as usize) {
                 if !reach[next as usize] {
                     reach[next as usize] = true;
                     frontier.push(next);
@@ -244,18 +243,11 @@ impl ReverseGraph {
 /// Builds the [`ReverseGraph`] of `index` rooted at the methods whose
 /// bodies contain one of `sites`, from one walk over every method body.
 fn reverse_graph(index: &ProgramIndex, sites: &BTreeSet<CallSite>) -> ReverseGraph {
-    const NONE: u32 = u32::MAX;
     let methods = index.methods.len();
-    let mut name_vertex = vec![NONE; index.interner.len()];
-    let mut nodes = methods as u32;
+    let name_vertex = |name: Symbol| (methods + name.index()) as u32;
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(2 * methods);
     for (m, method) in index.methods.iter().enumerate() {
-        let vertex = &mut name_vertex[method.name.index()];
-        if *vertex == NONE {
-            *vertex = nodes;
-            nodes += 1;
-        }
-        edges.push((m as u32, *vertex));
+        edges.push((m as u32, name_vertex(method.name)));
     }
 
     let mut roots = Vec::new();
@@ -277,14 +269,13 @@ fn reverse_graph(index: &ProgramIndex, sites: &BTreeSet<CallSite>) -> ReverseGra
         }
         called.sort_unstable();
         called.dedup();
-        // A name no method defines has no vertex: such a call faults at
-        // run time and reaches nothing.
+        // A name no method defines reaches nothing: such a call faults at
+        // run time.
         edges.extend(
             called
                 .iter()
-                .map(|name| name_vertex[name.index()])
-                .filter(|&vertex| vertex != NONE)
-                .map(|vertex| (vertex, m as u32)),
+                .filter(|&&name| !index.methods_named(name).is_empty())
+                .map(|&name| (name_vertex(name), m as u32)),
         );
         instantiated.sort_unstable();
         instantiated.dedup();
@@ -296,24 +287,8 @@ fn reverse_graph(index: &ProgramIndex, sites: &BTreeSet<CallSite>) -> ReverseGra
         );
     }
 
-    // Counting sort of the edge list by source node.
-    let mut offsets = vec![0u32; nodes as usize + 1];
-    for &(from, _) in &edges {
-        offsets[from as usize + 1] += 1;
-    }
-    for v in 0..nodes as usize {
-        offsets[v + 1] += offsets[v];
-    }
-    let mut cursor = offsets.clone();
-    let mut targets = vec![0u32; edges.len()];
-    for &(from, to) in &edges {
-        let slot = &mut cursor[from as usize];
-        targets[*slot as usize] = to;
-        *slot += 1;
-    }
     ReverseGraph {
-        offsets,
-        targets,
+        edges: Csr::from_pairs(methods + index.interner.len(), &edges),
         roots,
     }
 }
@@ -549,7 +524,8 @@ mod tests {
             ctor_edges += instantiated.len();
         }
         assert_eq!(call_edges, WIDTH);
-        let edges = reverse_graph(index, &BTreeSet::new()).targets.len();
+        let graph = reverse_graph(index, &BTreeSet::new());
+        let edges: usize = (0..graph.edges.rows()).map(|v| graph.edges.row(v).len()).sum();
         assert!(
             edges <= index.methods.len() + call_edges + ctor_edges,
             "{edges} edges for {} methods, {call_edges} call edges and {ctor_edges} \

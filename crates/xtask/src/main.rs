@@ -8,9 +8,8 @@
 //!   followed by `cargo test -q --workspace`, then the resilience smoke
 //!   and the seed-corpus report digest. Fails fast on the first failing
 //!   stage.
-//! - `ci`    — tier1 plus `cargo build --all-features` and the
-//!   all-features test suite (every feature is offline-safe in this
-//!   workspace, so both extra stages must pass too).
+//! - `ci`    — runs `scripts/ci.sh`, which holds the one list of CI
+//!   stages (tier-1 with clippy, all features, and every gate below).
 //! - `smoke` — the resilience smoke on its own: a chaos campaign
 //!   (10% injected run panics, `--jobs 4`) whose `--json` report must be
 //!   byte-identical to the serial run's, and a kill-and-resume round-trip
@@ -88,17 +87,12 @@ fn main() {
             eprintln!("tier1: OK");
         }
         "ci" => {
-            run_stage("build --release", &["build", "--release"]);
-            run_stage("test -q --workspace", &["test", "-q", "--workspace"]);
-            run_stage("build --all-features", &["build", "--all-features"]);
-            run_stage(
-                "test -q --workspace --all-features",
-                &["test", "-q", "--workspace", "--all-features"],
-            );
-            smoke();
-            digest(false);
-            lint_gate(false);
-            eprintln!("ci: OK");
+            let script = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scripts/ci.sh");
+            let status = Command::new("bash").arg(&script).status().unwrap_or_else(|e| {
+                eprintln!("failed to spawn {}: {e}", script.display());
+                exit(1);
+            });
+            exit(status.code().unwrap_or(1));
         }
         "smoke" => {
             run_stage("build --release --bin wasabi", &["build", "--release", "--bin", "wasabi"]);

@@ -4,7 +4,7 @@
 //! The synthetic corpus apps exercise deep exception hierarchies (wrapper
 //! types, well-known JDK types, per-app families) and class inheritance,
 //! so agreement over *every pair* here is strong evidence the precomputed
-//! ancestry matrices encode exactly the declaration-time subtype relation.
+//! ancestry tables encode exactly the declaration-time subtype relation.
 
 use wasabi::corpus::spec::Scale;
 use wasabi::corpus::synth::{compile_app, generate_all};
@@ -36,7 +36,7 @@ fn exception_matrix_matches_symbol_table_on_corpus() {
     }
 }
 
-/// Same agreement for the class-ancestry matrix.
+/// Same agreement for the class-ancestry (subclass) table.
 #[test]
 fn class_matrix_matches_symbol_table_on_corpus() {
     for app in generate_all(Scale::Tiny) {
@@ -59,16 +59,46 @@ fn class_matrix_matches_symbol_table_on_corpus() {
 
 /// Flattened dispatch tables agree with the symbol table's inheritance
 /// walk: every `(class, method-name)` pair resolves on one side iff it
-/// resolves on the other, with matching arity.
+/// resolves on the other, with matching arity. The per-name method table
+/// is exactly the union of every class's dispatch targets for the name,
+/// and a `this` call's targets are the union over the class's subtypes.
 #[test]
 fn dispatch_tables_match_method_resolution_on_corpus() {
     use std::collections::BTreeSet;
+    use wasabi::lang::index::ClassId;
     for app in generate_all(Scale::Tiny) {
         let project = compile_app(&app);
         let method_names: BTreeSet<String> = project
             .all_methods()
             .map(|(_, _, m)| m.name.clone())
             .collect();
+        let index = &project.index;
+        for method in &method_names {
+            let sym = index.interner.lookup(method).unwrap();
+            let dispatched: BTreeSet<u32> = (0..index.classes.len() as u32)
+                .filter_map(|c| index.resolve_dispatch(ClassId(c), sym))
+                .collect();
+            assert_eq!(
+                index.methods_named(sym),
+                dispatched.into_iter().collect::<Vec<_>>(),
+                "{}: methods named `{method}` disagree with the dispatch tables",
+                app.spec.name
+            );
+            for class in (0..index.classes.len() as u32).map(ClassId) {
+                let below: BTreeSet<u32> = (0..index.classes.len() as u32)
+                    .map(ClassId)
+                    .filter(|&sub| index.is_class_subtype(sub, class))
+                    .filter_map(|sub| index.resolve_dispatch(sub, sym))
+                    .collect();
+                assert_eq!(
+                    index.this_call_targets(class, sym),
+                    below.into_iter().collect::<Vec<_>>(),
+                    "{}: this-call targets of `{method}` on {} disagree",
+                    app.spec.name,
+                    index.classes[class.0 as usize].name_str
+                );
+            }
+        }
         for class in project.symbols.class_names() {
             let class_id = project.index.class_by_name(class).unwrap();
             for method in &method_names {

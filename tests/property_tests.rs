@@ -1029,6 +1029,7 @@ struct DecoderSeeds {
     requests: Vec<String>,
     records: Vec<String>,
     dead_letters: Vec<String>,
+    manifests: Vec<String>,
     trace: String,
 }
 
@@ -1036,6 +1037,7 @@ fn decoder_seeds() -> DecoderSeeds {
     use wasabi::core::dynamic::{run_dynamic_with_observer, DynamicOptions};
     use wasabi::core::identify::identify;
     use wasabi::engine::journal::{dead_letter_to_json, record_from_json, DeadLetter};
+    use wasabi::engine::shard::{manifest_to_json, partition, ShardManifest};
     use wasabi::engine::spans::render_trace;
     use wasabi::engine::MetricsObserver;
     use wasabi::lang::project::Project;
@@ -1112,10 +1114,24 @@ class Flaky {\n\
     .iter()
     .map(render_request)
     .collect();
+    let manifests = [(0, 1), (12, 3), (5, 2)]
+        .iter()
+        .map(|&(total_runs, shards)| {
+            manifest_to_json(&ShardManifest {
+                shards,
+                total_runs,
+                ranges: partition(total_runs, shards),
+                source_digest: 0x0123_4567_89ab_cdef,
+                files: vec!["flaky.jav".to_string(), "dir/other.jav".to_string()],
+            })
+            .to_string()
+        })
+        .collect();
     DecoderSeeds {
         requests,
         records,
         dead_letters,
+        manifests,
         trace: render_trace("seeds", recorder.phases(), recorder.runs()),
     }
 }
@@ -1254,6 +1270,7 @@ fn assert_total<T>(
 #[test]
 fn decoders_total_on_arbitrary_and_mutated_input() {
     use wasabi::engine::journal::{dead_letter_from_json, record_from_json};
+    use wasabi::engine::shard::manifest_from_json;
     use wasabi::engine::spans::parse_trace;
     use wasabi::serve::protocol::parse_request;
 
@@ -1268,17 +1285,29 @@ fn decoders_total_on_arbitrary_and_mutated_input() {
             .unwrap_or_else(|e| panic!("seed dead letter rejected: {e}\n{line}"));
     }
     parse_trace(&seeds.trace).unwrap_or_else(|e| panic!("seed trace rejected: {e}"));
+    for line in &seeds.manifests {
+        manifest_from_json(&Json::parse(line).expect("seed manifest"))
+            .unwrap_or_else(|e| panic!("seed manifest rejected: {e}\n{line}"));
+    }
+    // A shard count its ranges do not back is rejected up front, before
+    // `wasabi merge` sizes anything by it.
+    let oversized = seeds.manifests[1].replace("\"shards\":3", "\"shards\":1152921504606846976");
+    assert_ne!(oversized, seeds.manifests[1]);
+    assert!(manifest_from_json(&Json::parse(&oversized).unwrap()).is_err());
 
     let json_docs: Vec<&String> = seeds
         .requests
         .iter()
         .chain(&seeds.records)
         .chain(&seeds.dead_letters)
+        .chain(&seeds.manifests)
         .collect();
     let record =
         |text: &str| -> Result<(), String> { record_from_json(&Json::parse(text)?).map(drop) };
     let dead_letter =
         |text: &str| -> Result<(), String> { dead_letter_from_json(&Json::parse(text)?).map(drop) };
+    let manifest =
+        |text: &str| -> Result<(), String> { manifest_from_json(&Json::parse(text)?).map(drop) };
     // A seed document after one to three structural mutations.
     let mutated = |rng: &mut Rng, docs: &[String]| {
         let mut value = Json::parse(rng.pick(docs).as_str()).expect("seed document parses");
@@ -1303,6 +1332,7 @@ fn decoders_total_on_arbitrary_and_mutated_input() {
         assert_total("request", case, &input, parse_request);
         assert_total("record", case, &input, record);
         assert_total("dead letter", case, &input, dead_letter);
+        assert_total("manifest", case, &input, manifest);
         assert_total("trace", case, &input, parse_trace);
 
         // Structural mutations reach past the JSON layer into the typed
@@ -1316,6 +1346,10 @@ fn decoders_total_on_arbitrary_and_mutated_input() {
         let value = mutated(&mut rng, &seeds.dead_letters);
         assert_total("dead letter value", case, &value.to_string(), |_| {
             dead_letter_from_json(&value).map(drop)
+        });
+        let value = mutated(&mut rng, &seeds.manifests);
+        assert_total("manifest value", case, &value.to_string(), |_| {
+            manifest_from_json(&value).map(drop)
         });
 
         // A trace with one line text-mutated and one value-mutated.

@@ -152,3 +152,30 @@ fn merge_refuses_changed_sources_and_missing_directories() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn merge_rejects_a_manifest_whose_shard_count_its_ranges_do_not_back() {
+    let dir = temp_dir("manifest");
+    std::fs::write(dir.join("app.jav"), APP).expect("write app");
+    report(
+        &wasabi_in(
+            &dir,
+            &["test", "--quiet", "--json", "--shards", "2", "--shard-dir", "shards", "app.jav"],
+        ),
+        "sharded",
+    );
+
+    // Everything but the shard count still matches the campaign, so only
+    // the decoder stands between this count and the merge's allocations.
+    let path = dir.join("shards").join("manifest.json");
+    let text = std::fs::read_to_string(&path).expect("read manifest");
+    let hostile = text.replace("\"shards\": 2,", "\"shards\": 1152921504606846976,");
+    assert_ne!(text, hostile, "manifest layout changed: {text}");
+    std::fs::write(&path, hostile).expect("rewrite manifest");
+    let merged = wasabi_in(&dir, &["merge", "--json", "shards"]);
+    assert_eq!(merged.status.code(), Some(2), "a bad manifest is an input error");
+    let stderr = String::from_utf8_lossy(&merged.stderr);
+    assert!(stderr.contains("2 ranges for 1152921504606846976 shards"), "unexpected stderr: {stderr}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
