@@ -11,7 +11,7 @@ use crate::token::{Token, TokenKind};
 
 /// Streaming lexer over a source string.
 pub struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -19,7 +19,7 @@ impl<'a> Lexer<'a> {
     /// Creates a lexer over `source`.
     pub fn new(source: &'a str) -> Self {
         Lexer {
-            src: source.as_bytes(),
+            src: source,
             pos: 0,
         }
     }
@@ -39,11 +39,11 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> u8 {
-        *self.src.get(self.pos).unwrap_or(&0)
+        *self.src.as_bytes().get(self.pos).unwrap_or(&0)
     }
 
     fn peek2(&self) -> u8 {
-        *self.src.get(self.pos + 1).unwrap_or(&0)
+        *self.src.as_bytes().get(self.pos + 1).unwrap_or(&0)
     }
 
     fn bump(&mut self) -> u8 {
@@ -182,6 +182,9 @@ impl<'a> Lexer<'a> {
 
     fn lex_string(&mut self, start: u32) -> Result<TokenKind, Diagnostic> {
         let mut out = String::new();
+        // Start of the current unescaped run. Runs end only at ASCII bytes
+        // (quote, backslash, newline), so each is a whole UTF-8 slice.
+        let mut run = self.pos;
         loop {
             if self.pos >= self.src.len() {
                 return Err(Diagnostic::new(
@@ -189,7 +192,12 @@ impl<'a> Lexer<'a> {
                     "unterminated string literal",
                 ));
             }
-            match self.bump() {
+            let c = self.bump();
+            if !matches!(c, b'"' | b'\\' | b'\n') {
+                continue;
+            }
+            out.push_str(&self.src[run..self.pos - 1]);
+            match c {
                 b'"' => return Ok(TokenKind::Str(out)),
                 b'\\' => {
                     let esc = self.bump();
@@ -206,14 +214,15 @@ impl<'a> Lexer<'a> {
                         }
                     }
                 }
-                b'\n' => {
+                // The only other run end: a newline.
+                _ => {
                     return Err(Diagnostic::new(
                         Span::new(start, self.pos as u32),
                         "newline in string literal",
                     ));
                 }
-                other => out.push(other as char),
             }
+            run = self.pos;
         }
     }
 
@@ -221,8 +230,7 @@ impl<'a> Lexer<'a> {
         while self.peek().is_ascii_digit() {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.src[start as usize..self.pos])
-            .expect("digits are valid UTF-8");
+        let text = &self.src[start as usize..self.pos];
         text.parse::<i64>()
             .map(TokenKind::Int)
             .map_err(|_| {
@@ -240,8 +248,7 @@ impl<'a> Lexer<'a> {
         } {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.src[start as usize..self.pos])
-            .expect("identifier bytes are valid UTF-8");
+        let text = &self.src[start as usize..self.pos];
         TokenKind::keyword(text).unwrap_or_else(|| TokenKind::Ident(text.to_string()))
     }
 }
@@ -316,6 +323,18 @@ mod tests {
                 TokenKind::True,
                 TokenKind::False,
                 TokenKind::Null,
+                TokenKind::Eof,
+            ]
+        );
+    }
+
+    #[test]
+    fn string_literals_decode_as_utf8() {
+        assert_eq!(
+            kinds("\"héllo → ok\" \"\\\"ü\\n\""),
+            vec![
+                TokenKind::Str("héllo → ok".into()),
+                TokenKind::Str("\"ü\n".into()),
                 TokenKind::Eof,
             ]
         );

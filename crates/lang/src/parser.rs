@@ -41,12 +41,20 @@ impl Parser {
         &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
     }
 
+    /// Consumes the current token and returns it. The kind is moved out of
+    /// its slot (the span stays for [`Parser::prev_span`]); only the final
+    /// EOF token, which is never consumed, is cloned.
     fn bump(&mut self) -> Token {
-        let tok = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        let last = self.tokens.len() - 1;
+        if self.pos == last {
+            return self.tokens[last].clone();
         }
-        tok
+        let slot = &mut self.tokens[self.pos];
+        self.pos += 1;
+        Token {
+            kind: std::mem::replace(&mut slot.kind, TokenKind::Eof),
+            span: slot.span,
+        }
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -75,15 +83,13 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<(String, Span), Diagnostic> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(name) => {
-                let tok = self.bump();
-                Ok((name, tok.span))
-            }
-            other => Err(self.error_here(format!(
-                "expected identifier, found {}",
-                other.describe()
-            ))),
+        let tok = self.bump();
+        match tok.kind {
+            TokenKind::Ident(name) => Ok((name, tok.span)),
+            other => Err(Diagnostic::new(
+                tok.span,
+                format!("expected identifier, found {}", other.describe()),
+            )),
         }
     }
 
@@ -143,16 +149,14 @@ impl Parser {
 
     fn config_decl(&mut self) -> Result<ConfigDecl, Diagnostic> {
         let start = self.expect(TokenKind::Config)?.span;
-        let key = match self.peek_kind().clone() {
-            TokenKind::Str(key) => {
-                self.bump();
-                key
-            }
+        let tok = self.bump();
+        let key = match tok.kind {
+            TokenKind::Str(key) => key,
             other => {
-                return Err(self.error_here(format!(
-                    "expected string config key, found {}",
-                    other.describe()
-                )))
+                return Err(Diagnostic::new(
+                    tok.span,
+                    format!("expected string config key, found {}", other.describe()),
+                ))
             }
         };
         self.expect(TokenKind::Default)?;
@@ -596,36 +600,28 @@ impl Parser {
     // ---- Expressions -----------------------------------------------------
 
     fn literal(&mut self) -> Result<Literal, Diagnostic> {
-        let lit = match self.peek_kind().clone() {
-            TokenKind::Int(v) => Literal::Int(v),
-            TokenKind::Str(s) => Literal::Str(s),
-            TokenKind::True => Literal::Bool(true),
-            TokenKind::False => Literal::Bool(false),
-            TokenKind::Null => Literal::Null,
+        let tok = self.bump();
+        match tok.kind {
+            TokenKind::Int(v) => Ok(Literal::Int(v)),
+            TokenKind::Str(s) => Ok(Literal::Str(s)),
+            TokenKind::True => Ok(Literal::Bool(true)),
+            TokenKind::False => Ok(Literal::Bool(false)),
+            TokenKind::Null => Ok(Literal::Null),
             TokenKind::Minus => {
-                self.bump();
-                match self.peek_kind().clone() {
-                    TokenKind::Int(v) => {
-                        self.bump();
-                        return Ok(Literal::Int(-v));
-                    }
-                    other => {
-                        return Err(self.error_here(format!(
-                            "expected integer after `-`, found {}",
-                            other.describe()
-                        )))
-                    }
+                let tok = self.bump();
+                match tok.kind {
+                    TokenKind::Int(v) => Ok(Literal::Int(-v)),
+                    other => Err(Diagnostic::new(
+                        tok.span,
+                        format!("expected integer after `-`, found {}", other.describe()),
+                    )),
                 }
             }
-            other => {
-                return Err(self.error_here(format!(
-                    "expected literal, found {}",
-                    other.describe()
-                )))
-            }
-        };
-        self.bump();
-        Ok(lit)
+            other => Err(Diagnostic::new(
+                tok.span,
+                format!("expected literal, found {}", other.describe()),
+            )),
+        }
     }
 
     fn expr(&mut self) -> Result<Expr, Diagnostic> {
@@ -833,34 +829,15 @@ impl Parser {
     }
 
     fn primary_expr(&mut self) -> Result<Expr, Diagnostic> {
-        let tok = self.peek().clone();
+        let tok = self.bump();
         match tok.kind {
-            TokenKind::Int(v) => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Int(v), tok.span))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Str(s), tok.span))
-            }
-            TokenKind::True => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Bool(true), tok.span))
-            }
-            TokenKind::False => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Bool(false), tok.span))
-            }
-            TokenKind::Null => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Null, tok.span))
-            }
-            TokenKind::This => {
-                self.bump();
-                Ok(Expr::This(tok.span))
-            }
+            TokenKind::Int(v) => Ok(Expr::Literal(Literal::Int(v), tok.span)),
+            TokenKind::Str(s) => Ok(Expr::Literal(Literal::Str(s), tok.span)),
+            TokenKind::True => Ok(Expr::Literal(Literal::Bool(true), tok.span)),
+            TokenKind::False => Ok(Expr::Literal(Literal::Bool(false), tok.span)),
+            TokenKind::Null => Ok(Expr::Literal(Literal::Null, tok.span)),
+            TokenKind::This => Ok(Expr::This(tok.span)),
             TokenKind::New => {
-                self.bump();
                 let (class, _) = self.expect_ident()?;
                 let args = self.call_args()?;
                 let span = tok.span.to(self.prev_span());
@@ -872,13 +849,11 @@ impl Parser {
                 })
             }
             TokenKind::LParen => {
-                self.bump();
                 let inner = self.expr()?;
                 self.expect(TokenKind::RParen)?;
                 Ok(inner)
             }
             TokenKind::Ident(name) => {
-                self.bump();
                 if self.at(&TokenKind::LParen) {
                     let args = self.call_args()?;
                     let span = tok.span.to(self.prev_span());
@@ -893,10 +868,10 @@ impl Parser {
                     Ok(Expr::Ident(name, tok.span))
                 }
             }
-            other => Err(self.error_here(format!(
-                "expected expression, found {}",
-                other.describe()
-            ))),
+            other => Err(Diagnostic::new(
+                tok.span,
+                format!("expected expression, found {}", other.describe()),
+            )),
         }
     }
 }

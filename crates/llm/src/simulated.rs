@@ -201,16 +201,19 @@ impl TextSignals {
     }
 }
 
-/// Finds a `<`/`>` comparison within 48 characters of a cap-ish identifier.
+/// Finds a `<`/`>` comparison within 48 bytes of a cap-ish identifier.
+///
+/// The window is searched as bytes: its edges may fall inside a multi-byte
+/// character, and the keywords are ASCII, so no match can use such a byte.
 fn cap_comparison(lower: &str) -> bool {
-    const CAPISH: [&str; 6] = ["max", "limit", "cap", "attempt", "retries", "budget"];
+    const CAPISH: [&[u8]; 6] = [b"max", b"limit", b"cap", b"attempt", b"retries", b"budget"];
     let bytes = lower.as_bytes();
     for (i, b) in bytes.iter().enumerate() {
         if *b == b'<' || *b == b'>' {
             let start = i.saturating_sub(48);
             let end = (i + 48).min(bytes.len());
-            let window = &lower[start..end];
-            if CAPISH.iter().any(|k| window.contains(k)) {
+            let window = &bytes[start..end];
+            if CAPISH.iter().any(|k| window.windows(k.len()).any(|w| w == *k)) {
                 return true;
             }
         }
@@ -283,14 +286,28 @@ impl SimulatedLlm {
     fn signals_for(&mut self, prompt: &Prompt) -> TextSignals {
         if !prompt.file_contents.is_empty() {
             let signals = TextSignals::extract(&prompt.file_contents);
-            let retry_methods = method_regions(&prompt.file_contents)
-                .into_iter()
-                .filter(|(_, body)| {
-                    let signals = TextSignals::extract(body);
-                    signals.reads_like_retry() || signals.reads_like_errcode_retry()
-                })
-                .map(|(name, _)| name)
-                .collect();
+            // Every region is a substring of the file, so each signal a
+            // region shows the file shows too (`reenqueue_after_catch`
+            // included: the file's first catch is no later than the
+            // region's). A region that reads like retry therefore makes
+            // the file read like retry, and an error-code-retry region
+            // makes the file read like one of the two (the file may add
+            // the catch the region lacks). Files that read like neither
+            // have no retry methods, and skip the split.
+            let reads_like_retry =
+                signals.reads_like_retry() || signals.reads_like_errcode_retry();
+            let retry_methods = if reads_like_retry {
+                method_regions(&prompt.file_contents)
+                    .into_iter()
+                    .filter(|(_, body)| {
+                        let signals = TextSignals::extract(body);
+                        signals.reads_like_retry() || signals.reads_like_errcode_retry()
+                    })
+                    .map(|(name, _)| name)
+                    .collect()
+            } else {
+                Vec::new()
+            };
             self.memory.insert(
                 prompt.file_path.clone(),
                 FileComprehension {
@@ -521,6 +538,24 @@ mod tests {
             !llm.ask_yes_no(&prompts::q2_sleeps_before_retry("without.jav")).is_yes(),
             "single-file blindness: helper sleep in another file is invisible"
         );
+    }
+
+    #[test]
+    fn non_ascii_text_around_a_comparison_is_read_not_a_panic() {
+        // Multi-byte characters on both sides of `<`, padded so the 48-byte
+        // window edges fall both on and inside a character.
+        for pad in 0..4 {
+            let comment = format!("{}{}", "-".repeat(pad), "é".repeat(40));
+            for (bound, capped) in [("limit", true), ("1", false)] {
+                let text = format!(
+                    "class A {{ // {comment}\n method m(x) {{ return x < {bound}; }} // {}\n}}",
+                    "ü".repeat(40)
+                );
+                assert_eq!(TextSignals::extract(&text).has_cap_comparison, capped, "{text}");
+                let mut llm = SimulatedLlm::with_seed(0);
+                assert!(!llm.ask_yes_no(&prompts::q1_performs_retry("a.jav", &text)).is_yes());
+            }
+        }
     }
 
     #[test]

@@ -75,6 +75,18 @@ fn wait_report(conn: &mut Connection, id: u64) -> (String, bool) {
     (report, cached)
 }
 
+/// Polls `Status` until job `id` has left the queue (running or done).
+fn wait_until_dequeued(conn: &mut Connection, id: u64) {
+    loop {
+        let response = conn.request(&Request::Status { id }).expect("status response");
+        assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true), "{response:?}");
+        if response.get("state").and_then(Json::as_str) != Some("queued") {
+            return;
+        }
+        thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
 fn shutdown(handle: DaemonHandle) {
     let mut conn = Connection::connect(&handle.addr).expect("connect for shutdown");
     let _ = conn.request(&Request::Shutdown {
@@ -272,7 +284,11 @@ fn admission_control_rejects_with_reason_when_queue_is_full() {
     });
     let mut conn = Connection::connect(&handle.addr).expect("connect");
     // Fill the single runner and the single queue slot, then overflow.
-    let kept: Vec<u64> = (0..2).map(|_| submit(&mut conn, "x.jav", APP_X)).collect();
+    // The second submission waits until the runner has taken the first
+    // off the queue, or the queue slot would still be occupied.
+    let first = submit(&mut conn, "x.jav", APP_X);
+    wait_until_dequeued(&mut conn, first);
+    let kept = vec![first, submit(&mut conn, "x.jav", APP_X)];
     let mut rejections = 0;
     for _ in 0..3 {
         let response = conn
@@ -377,6 +393,9 @@ fn graceful_drain_refuses_new_work_and_finishes_admitted_jobs() {
     let mut conn = Connection::connect(&handle.addr).expect("connect");
     let first = submit(&mut conn, "x.jav", APP_X);
     let second = submit(&mut conn, "y.jav", APP_Y);
+    // Connected before the drain: both jobs may finish and the daemon
+    // stop accepting before the late submission is sent.
+    let mut late = Connection::connect(&handle.addr).expect("connect before the drain");
 
     let mut drainer = Connection::connect(&handle.addr).expect("connect for drain");
     let ack = drainer
@@ -389,22 +408,24 @@ fn graceful_drain_refuses_new_work_and_finishes_admitted_jobs() {
     assert_eq!(ack.get("draining").and_then(Json::as_bool), Some(true), "{ack:?}");
 
     // New admissions are refused with a retryable rejection, not an error.
-    let mut late = Connection::connect(&handle.addr).expect("connect while draining");
-    let refused = late
-        .request(&Request::Submit {
-            name: "cli".to_string(),
-            priority: 5,
-            files: vec![("x.jav".to_string(), APP_X.to_string())],
-            jobs: None,
-            shards: None,
-        })
-        .expect("submit while draining");
-    assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
-    assert_eq!(
-        refused.get("rejected").and_then(Json::as_str),
-        Some("draining"),
-        "{refused:?}"
-    );
+    let mut assert_refused = |when: &str| {
+        let refused = late
+            .request(&Request::Submit {
+                name: "cli".to_string(),
+                priority: 5,
+                files: vec![("x.jav".to_string(), APP_X.to_string())],
+                jobs: None,
+                shards: None,
+            })
+            .unwrap_or_else(|e| panic!("submit {when}: {e}"));
+        assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            refused.get("rejected").and_then(Json::as_str),
+            Some("draining"),
+            "{when}: {refused:?}"
+        );
+    };
+    assert_refused("while draining");
 
     // Both admitted jobs still complete with real reports.
     let (first_report, _) = wait_report(&mut conn, first);
@@ -413,6 +434,8 @@ fn graceful_drain_refuses_new_work_and_finishes_admitted_jobs() {
     assert!(second_report.contains("\"bugs\""));
     // And the daemon exits on its own once the queue is dry.
     handle.join();
+    // A session still open after the drain is refused the same way.
+    assert_refused("after the drain");
 }
 
 #[cfg(unix)]

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point. Eleven stages:
+# CI entry point. Twelve stages:
 #
 #   1. tier-1: the gate every change must pass — release build + full test
 #      suite with default features, exactly what `cargo tier1` runs. Also
@@ -53,6 +53,11 @@
 #      the checked-in repro_paper_output.txt byte for byte, pinning the
 #      Table 3 counts, the Figure 3 counts and overlap, and the FP
 #      taxonomy that EXPERIMENTS.md calls exact by measurement.
+#  12. perfbench self-test: `perfbench/run.py --self-test` builds the
+#      benchmark against the workspace crates (so a library API change
+#      that breaks it fails here) and runs each workload once clean and
+#      once per corruption, showing every ground-truth check can fail.
+#      It times nothing that gates; it builds into target/perfbench.
 #
 # Gates write their measurements under target/; the BENCH_PR*.json files
 # at the repository root are committed records and CI never rewrites them.
@@ -96,5 +101,8 @@ cargo xtask lint-gate
 
 echo "== stage 11: repro gate (paper tables byte-identical to repro_paper_output.txt) =="
 cargo xtask repro-gate
+
+echo "== stage 12: perfbench self-test (benchmark builds, truth checks can fail) =="
+CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py --self-test
 
 echo "== ci: all stages passed =="

@@ -1020,6 +1020,324 @@ fn coverage_prefilter_matches_exhaustive_profile() {
     );
 }
 
+// ---- Simulated-LLM comprehension gate --------------------------------------
+
+// The simulated LLM as it was before it gated the per-method split on the
+// whole file reading like retry: `signals_for` splits every file it is
+// sent. The rest is the unchanged model, so answers can be compared.
+mod ungated_llm {
+    use std::collections::HashMap;
+    use wasabi::llm::{Answer, LanguageModel, Prompt, Question, SimProfile, TextSignals, Usage};
+
+    #[derive(Debug, Clone, Default)]
+    struct FileComprehension {
+        signals: TextSignals,
+        retry_methods: Vec<String>,
+    }
+
+    fn method_regions(text: &str) -> Vec<(String, String)> {
+        let mut decls: Vec<(usize, String)> = Vec::new();
+        for keyword in ["method ", "test "] {
+            let mut from = 0;
+            while let Some(pos) = text[from..].find(keyword) {
+                let at = from + pos;
+                let rest = &text[at + keyword.len()..];
+                let name: String = rest
+                    .chars()
+                    .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == '$')
+                    .collect();
+                if !name.is_empty() && rest[name.len()..].trim_start().starts_with('(') {
+                    decls.push((at, name));
+                }
+                from = at + keyword.len();
+            }
+        }
+        decls.sort();
+        let mut out = Vec::new();
+        for (i, (start, name)) in decls.iter().enumerate() {
+            let end = decls.get(i + 1).map(|(e, _)| *e).unwrap_or(text.len());
+            out.push((name.clone(), text[*start..end].to_string()));
+        }
+        out
+    }
+
+    pub struct UngatedLlm {
+        seed: u64,
+        profile: SimProfile,
+        usage: Usage,
+        memory: HashMap<String, FileComprehension>,
+    }
+
+    impl UngatedLlm {
+        pub fn with_seed(seed: u64) -> Self {
+            UngatedLlm {
+                seed,
+                profile: SimProfile::default(),
+                usage: Usage::default(),
+                memory: HashMap::new(),
+            }
+        }
+
+        fn draw(&self, file_path: &str, tag: &str) -> f64 {
+            let mut hash: u64 = 0xcbf29ce484222325;
+            let mut mix = |byte: u8| {
+                hash ^= byte as u64;
+                hash = hash.wrapping_mul(0x100000001b3);
+            };
+            for byte in self.seed.to_le_bytes() {
+                mix(byte);
+            }
+            for byte in file_path.bytes() {
+                mix(byte);
+            }
+            for byte in tag.bytes() {
+                mix(byte);
+            }
+            hash ^= hash >> 33;
+            hash = hash.wrapping_mul(0xff51afd7ed558ccd);
+            hash ^= hash >> 33;
+            (hash >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn chance(&self, file_path: &str, tag: &str, probability: f64) -> bool {
+            self.draw(file_path, tag) < probability
+        }
+
+        fn large_file_miss(&self, file_path: &str, bytes: usize) -> bool {
+            if bytes <= self.profile.large_file_bytes {
+                return false;
+            }
+            let over = (bytes - self.profile.large_file_bytes) as f64;
+            let prob =
+                (over / self.profile.miss_slope_bytes as f64).min(self.profile.max_miss_prob);
+            self.chance(file_path, "large-file-miss", prob)
+        }
+
+        /// Whether the file last sent for `path` reads like retry.
+        pub fn remembers_retry(&self, path: &str) -> Option<(bool, bool)> {
+            self.memory
+                .get(path)
+                .map(|c| (c.signals.reads_like_retry(), c.signals.reads_like_errcode_retry()))
+        }
+
+        fn signals_for(&mut self, prompt: &Prompt) -> TextSignals {
+            if !prompt.file_contents.is_empty() {
+                let signals = TextSignals::extract(&prompt.file_contents);
+                let retry_methods = method_regions(&prompt.file_contents)
+                    .into_iter()
+                    .filter(|(_, body)| {
+                        let signals = TextSignals::extract(body);
+                        signals.reads_like_retry() || signals.reads_like_errcode_retry()
+                    })
+                    .map(|(name, _)| name)
+                    .collect();
+                self.memory.insert(
+                    prompt.file_path.clone(),
+                    FileComprehension {
+                        signals,
+                        retry_methods,
+                    },
+                );
+            }
+            self.memory
+                .get(&prompt.file_path)
+                .map(|c| c.signals.clone())
+                .unwrap_or_default()
+        }
+
+        fn answer_q1(&mut self, prompt: &Prompt) -> Answer {
+            let signals = self.signals_for(prompt);
+            if signals.reads_like_retry() || signals.reads_like_errcode_retry() {
+                if self.large_file_miss(&prompt.file_path, signals.bytes) {
+                    return Answer::No;
+                }
+                return Answer::Yes;
+            }
+            if signals.has_poll
+                && signals.has_loop
+                && self.chance(&prompt.file_path, "poll-fp", self.profile.poll_fp_rate)
+            {
+                return Answer::Yes;
+            }
+            if !(signals.has_poll && signals.has_loop)
+                && signals.retry_keyword
+                && !signals.has_catch
+                && self.chance(&prompt.file_path, "param-fp", self.profile.param_fp_rate)
+            {
+                return Answer::Yes;
+            }
+            Answer::No
+        }
+
+        fn answer_q2(&mut self, prompt: &Prompt) -> Answer {
+            let signals = self.signals_for(prompt);
+            let mut saw_delay = signals.has_sleep;
+            if !saw_delay && signals.calls_delay_helper && signals.defines_delay_helper {
+                saw_delay = true;
+            }
+            let answer = if saw_delay { Answer::Yes } else { Answer::No };
+            self.maybe_flip(&prompt.file_path, "q2-flip", answer)
+        }
+
+        fn maybe_flip(&self, file_path: &str, tag: &str, answer: Answer) -> Answer {
+            let rate = match answer {
+                Answer::Yes => self.profile.flip_yes_rate,
+                Answer::No => self.profile.flip_no_rate,
+            };
+            if self.chance(file_path, tag, rate) {
+                match answer {
+                    Answer::Yes => Answer::No,
+                    Answer::No => Answer::Yes,
+                }
+            } else {
+                answer
+            }
+        }
+
+        fn answer_q3(&mut self, prompt: &Prompt) -> Answer {
+            let signals = self.signals_for(prompt);
+            let answer = if signals.has_cap_comparison {
+                Answer::Yes
+            } else {
+                Answer::No
+            };
+            self.maybe_flip(&prompt.file_path, "q3-flip", answer)
+        }
+
+        fn answer_q4(&mut self, prompt: &Prompt) -> Answer {
+            let signals = self.signals_for(prompt);
+            if signals.has_poll {
+                if self.chance(&prompt.file_path, "q4-miss", self.profile.q4_miss_rate) {
+                    return Answer::No;
+                }
+                return Answer::Yes;
+            }
+            Answer::No
+        }
+    }
+
+    impl LanguageModel for UngatedLlm {
+        fn ask_yes_no(&mut self, prompt: &Prompt) -> Answer {
+            self.usage.record(prompt.chars_sent());
+            match prompt.question {
+                Question::PerformsRetry => self.answer_q1(prompt),
+                Question::SleepsBeforeRetry => self.answer_q2(prompt),
+                Question::HasCap => self.answer_q3(prompt),
+                Question::PollOrSpin => self.answer_q4(prompt),
+                Question::WhichMethods => Answer::No,
+            }
+        }
+
+        fn ask_methods(&mut self, prompt: &Prompt) -> Vec<String> {
+            self.usage.record(prompt.chars_sent());
+            self.memory
+                .get(&prompt.file_path)
+                .map(|c| c.retry_methods.clone())
+                .unwrap_or_default()
+        }
+
+        fn usage(&self) -> Usage {
+            self.usage
+        }
+    }
+}
+
+/// A file built from the fragments the simulated LLM reads: retry and
+/// error-code vocabulary, catches, loops, switches, re-enqueues, method
+/// headers, comparisons near cap words, and non-ASCII text.
+fn gen_llm_file(rng: &mut Rng) -> String {
+    const FRAGMENTS: &[&str] = &[
+        "retry", "Retries", "// keep retrying", "reattempt", "resubmit", "reschedule",
+        "catch (E e) {", "catch(", "while (true) {", "while(", "for (", "for(",
+        "switch (s) {", "switch(", "case 1:", "q.put(t);", ".putDelayed(t, 5)",
+        "error code", "errCode", "ERR_", "method run(", "method x (", "test tA(",
+        "method (", "method backoff(n) {", "test t$1(", "<", ">", "x < max", "limit",
+        "cap", "attempt", "budget", "sleep(5);", "poll", "compareAndSet", "backoff(",
+        "}", "{", "\n", "é", "→ ü", "Σς", "İ", "ΣΑΣ", "日本",
+    ];
+    let len = rng.below(40) as usize;
+    let mut text = String::new();
+    for _ in 0..len {
+        text.push_str(*rng.pick(FRAGMENTS));
+        if rng.chance(0.7) {
+            text.push(' ');
+        }
+    }
+    text
+}
+
+/// Gating the per-method split on the whole file reading like retry (or
+/// like error-code retry) changes no answer: for random files and random
+/// question orders — follow-ups before Q1, after a Q1 No, for files never
+/// sent, and after a file is resent with new contents — every Q1–Q4
+/// answer, every method list and the usage match the ungated model.
+#[test]
+fn comprehension_gate_matches_ungated_model() {
+    use ungated_llm::UngatedLlm;
+    use wasabi::llm::{prompts, LanguageModel, SimulatedLlm};
+
+    let (mut errcode_only, mut methods_named) = (0usize, 0usize);
+    for case in 0..400u64 {
+        let mut rng = Rng::new(0x11_5a7e_0000 + case);
+        let seed = rng.below(1 << 16);
+        let mut gated = SimulatedLlm::with_seed(seed);
+        let mut ungated = UngatedLlm::with_seed(seed);
+        let mut files: Vec<String> = (0..4).map(|_| gen_llm_file(&mut rng)).collect();
+        for step in 0..40 {
+            // Path 4 is never sent with contents.
+            let index = rng.below(5) as usize;
+            let path = format!("f{index}.jav");
+            let op = rng.below(7);
+            if op == 0 && index < files.len() {
+                if rng.chance(0.2) {
+                    files[index] = gen_llm_file(&mut rng);
+                }
+                let q1 = prompts::q1_performs_retry(&path, &files[index]);
+                assert_eq!(
+                    gated.ask_yes_no(&q1),
+                    ungated.ask_yes_no(&q1),
+                    "[case {case} step {step}] Q1 {path}\n{}",
+                    files[index]
+                );
+                continue;
+            }
+            let prompt = match op {
+                1 => prompts::q2_sleeps_before_retry(&path),
+                2 => prompts::q3_has_cap(&path),
+                3 => prompts::q4_poll_or_spin(&path),
+                4 => prompts::q1_which_methods(&path),
+                _ => {
+                    let prompt = prompts::q1_which_methods(&path);
+                    let methods = gated.ask_methods(&prompt);
+                    assert_eq!(
+                        methods,
+                        ungated.ask_methods(&prompt),
+                        "[case {case} step {step}] methods {path}"
+                    );
+                    if !methods.is_empty() {
+                        methods_named += 1;
+                        errcode_only += (ungated.remembers_retry(&path) == Some((false, true)))
+                            as usize;
+                    }
+                    continue;
+                }
+            };
+            assert_eq!(
+                gated.ask_yes_no(&prompt),
+                ungated.ask_yes_no(&prompt),
+                "[case {case} step {step}] {:?} {path}",
+                prompt.question
+            );
+        }
+        assert_eq!(gated.usage(), ungated.usage(), "[case {case}] usage");
+    }
+    // Not vacuous: methods were named, some of them in files that read
+    // only like error-code retry (where a gate on `reads_like_retry`
+    // alone would lose them).
+    assert!(methods_named > 100, "only {methods_named} method lists were non-empty");
+    assert!(errcode_only > 5, "only {errcode_only} error-code-only method lists");
+}
+
 // ---- Decoder totality ------------------------------------------------------
 
 /// Valid documents for every wire/disk decoder, produced by the real
