@@ -6,8 +6,8 @@ use wasabi_analysis::loops::{
 };
 use wasabi_analysis::resolve::ProjectIndex;
 use wasabi_lang::ast::Item;
-use wasabi_lang::project::{FileId, MethodId, Project};
-use wasabi_llm::detector::{sweep_project, LlmSweep};
+use wasabi_lang::project::{CallSite, FileId, MethodId, Project, SourceFile};
+use wasabi_llm::detector::{sweep_file, sweep_project, LlmSweep};
 use wasabi_llm::model::LanguageModel;
 use std::collections::BTreeMap;
 
@@ -27,64 +27,113 @@ pub struct Identified {
 
 /// Runs both identification techniques and merges their locations.
 pub fn identify(project: &Project, llm: &mut dyn LanguageModel) -> Identified {
-    let index = ProjectIndex::build(project);
+    let query = StaticQuery::run(project);
+    query.merge(sweep_project(project, llm))
+}
 
-    // Technique 1: control-flow analysis + naming conventions.
-    let with_locations = all_retry_locations(&index, &LoopQueryOptions::default());
-    let codeql_loops: Vec<RetryLoop> = with_locations.iter().map(|(l, _)| l.clone()).collect();
-    let mut merged: BTreeMap<(wasabi_lang::project::CallSite, String), RetryLocation> =
-        BTreeMap::new();
-    for (_, locations) in &with_locations {
-        for location in locations {
-            merged.insert((location.site, location.exception.clone()), location.clone());
+/// Re-identifies after one file changed. `project` is the project
+/// `previous` was identified on with file `file`, formerly `replaced`,
+/// edited (see [`Project::with_file_replaced`]). Only that file is asked
+/// about, before and after the edit, to swap its usage; every other file
+/// keeps its answers from `previous`, which is exact for a model whose
+/// answers about a file depend on that file alone. The static query
+/// reruns over the whole project.
+pub fn reidentify_file(
+    project: &Project,
+    previous: &Identified,
+    file: FileId,
+    replaced: &SourceFile,
+    llm: &mut dyn LanguageModel,
+) -> Identified {
+    let query = StaticQuery::run(project);
+    let old = sweep_file(file, replaced, llm);
+    let new = sweep_file(file, &project.files[file.0 as usize], llm);
+    let mut llm_sweep = previous.llm_sweep.clone();
+    llm_sweep.replace_file(&old, new);
+    query.merge(llm_sweep)
+}
+
+/// Technique 1 over a whole project: the control-flow query plus naming
+/// conventions, with the index the LLM merge resolves callees through.
+struct StaticQuery<'p> {
+    project: &'p Project,
+    index: ProjectIndex<'p>,
+    codeql_loops: Vec<RetryLoop>,
+    merged: BTreeMap<(CallSite, String), RetryLocation>,
+}
+
+impl<'p> StaticQuery<'p> {
+    /// Runs the control-flow query over `project`.
+    fn run(project: &'p Project) -> StaticQuery<'p> {
+        let index = ProjectIndex::build(project);
+        let with_locations = all_retry_locations(&index, &LoopQueryOptions::default());
+        let mut merged = BTreeMap::new();
+        for (_, locations) in &with_locations {
+            for location in locations {
+                merged.insert(
+                    (location.site, location.exception.clone()),
+                    location.clone(),
+                );
+            }
+        }
+        StaticQuery {
+            project,
+            index,
+            codeql_loops: with_locations.into_iter().map(|(l, _)| l).collect(),
+            merged,
         }
     }
 
-    // Technique 2: LLM identification, then a follow-up query for callees
-    // and their exceptions.
-    let llm_sweep = sweep_project(project, llm);
-    let mut llm_coordinators = Vec::new();
-    for report in &llm_sweep.retry_files {
-        if report.poll_excluded {
-            continue;
-        }
-        for method_name in &report.retry_methods {
-            if method_name.starts_with('<') {
+    /// Technique 2 over a finished sweep of the same project: resolves the
+    /// LLM-flagged methods, then a follow-up query adds their callees and
+    /// exceptions to the loop locations.
+    fn merge(self, llm_sweep: LlmSweep) -> Identified {
+        let StaticQuery {
+            project,
+            index,
+            codeql_loops,
+            mut merged,
+        } = self;
+        let mut llm_coordinators = Vec::new();
+        for report in &llm_sweep.retry_files {
+            if report.poll_excluded {
                 continue;
             }
-            // Resolve the named method within the flagged file.
-            let file = &project.files[report.file.0 as usize];
-            for item in &file.items {
-                let Item::Class(class) = item else { continue };
-                let Some(decl) = class.methods.iter().find(|m| m.name == *method_name) else {
+            for method_name in &report.retry_methods {
+                if method_name.starts_with('<') {
                     continue;
-                };
-                llm_coordinators.push((
-                    report.file,
-                    MethodId::new(&class.name, method_name),
-                ));
-                for (site, callee, throws) in index.invoked_with_throws(&class.name, decl) {
-                    for exception in throws {
-                        merged
-                            .entry((site, exception.clone()))
-                            .or_insert_with(|| RetryLocation {
-                                site,
-                                coordinator: MethodId::new(&class.name, method_name),
-                                retried: callee.clone(),
-                                exception,
-                                mechanism: Mechanism::LlmFlagged,
+                }
+                // Resolve the named method within the flagged file.
+                let file = &project.files[report.file.0 as usize];
+                for item in &file.items {
+                    let Item::Class(class) = item else { continue };
+                    let Some(decl) = class.methods.iter().find(|m| m.name == *method_name) else {
+                        continue;
+                    };
+                    llm_coordinators.push((report.file, MethodId::new(&class.name, method_name)));
+                    for (site, callee, throws) in index.invoked_with_throws(&class.name, decl) {
+                        for exception in throws {
+                            merged.entry((site, exception.clone())).or_insert_with(|| {
+                                RetryLocation {
+                                    site,
+                                    coordinator: MethodId::new(&class.name, method_name),
+                                    retried: callee.clone(),
+                                    exception,
+                                    mechanism: Mechanism::LlmFlagged,
+                                }
                             });
+                        }
                     }
                 }
             }
         }
-    }
 
-    Identified {
-        codeql_loops,
-        llm_sweep,
-        llm_coordinators,
-        locations: merged.into_values().collect(),
+        Identified {
+            codeql_loops,
+            llm_sweep,
+            llm_coordinators,
+            locations: merged.into_values().collect(),
+        }
     }
 }
 

@@ -174,7 +174,9 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// If set, this worker index dies (thread exits without completing
     /// its current run) on its first pop — exercises the supervisor's
-    /// requeue-and-degrade path.
+    /// requeue-and-degrade path. When the other workers drained the queue
+    /// before it popped anything, it dies on finding the queue empty, so
+    /// exactly one worker is lost however the threads are scheduled.
     pub kill_worker: Option<usize>,
     /// If set, the whole *process* exits (code 86) once this many records
     /// have been appended to the journal — the crash point the shard
@@ -793,6 +795,10 @@ fn worker_loop(
     sender: &mpsc::Sender<Message>,
     campaign_started: Instant,
 ) -> WorkerExit {
+    let doomed = options
+        .chaos
+        .as_ref()
+        .is_some_and(|chaos| chaos.kill_worker == Some(worker));
     while let Some(slot) = queue.pop(worker) {
         let queue_wait_us = if options.capture_timing {
             saturating_us(campaign_started.elapsed())
@@ -811,11 +817,7 @@ fn worker_loop(
         {
             return WorkerExit::Drained;
         }
-        if options
-            .chaos
-            .as_ref()
-            .is_some_and(|chaos| chaos.kill_worker == Some(worker))
-        {
+        if doomed {
             return WorkerExit::Killed;
         }
         let mut notify = |attempt: u8, delay: Duration| {
@@ -840,6 +842,9 @@ fn worker_loop(
         {
             return WorkerExit::Drained;
         }
+    }
+    if doomed {
+        return WorkerExit::Killed;
     }
     WorkerExit::Drained
 }

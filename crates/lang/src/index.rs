@@ -50,7 +50,7 @@ pub type Slot = u32;
 /// Per-class field layout: field name → dense slot, plus the class names
 /// the runtime needs for rendering and fault messages. Shared by every
 /// instance of the class via `Arc`.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct FieldLayout {
     /// The class this layout belongs to.
     pub class_id: ClassId,
@@ -90,7 +90,7 @@ impl FieldLayout {
 
 /// A lowered field initializer: evaluated in superclass-chain order during
 /// instantiation, writing into `slot`.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct FieldInit {
     /// Destination field slot.
     pub slot: u32,
@@ -99,7 +99,7 @@ pub struct FieldInit {
 }
 
 /// One compiled (lowered) method body.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct CompiledMethod {
     /// Interned method name.
     pub name: Symbol,
@@ -122,7 +122,7 @@ pub struct CompiledMethod {
 
 /// A compiled class: layout, initializers, and the flattened dispatch
 /// table (inheritance walk done once, at build time).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct ClassDef {
     /// Interned class name.
     pub name: Symbol,
@@ -144,7 +144,7 @@ pub struct ClassDef {
 }
 
 /// A declared exception type.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct ExcDef {
     /// Interned type name.
     pub name: Symbol,
@@ -156,7 +156,7 @@ pub struct ExcDef {
 
 /// A declared configuration key with its dense id (= index in
 /// [`ProgramIndex::configs`]) and default literal.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfigDef {
     /// The key text.
     pub key: String,
@@ -167,7 +167,7 @@ pub struct ConfigDef {
 }
 
 /// Symbols and exception ids the interpreter needs unconditionally.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WellKnown {
     /// `"<entry>"` — the synthetic entry frame.
     pub entry: Symbol,
@@ -195,7 +195,7 @@ impl Default for WellKnown {
 
 /// The compile-once execution layer. Immutable after build; `Send + Sync`
 /// so one `Arc<ProgramIndex>` serves every worker thread.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct ProgramIndex {
     /// The frozen global interner.
     pub interner: Interner,
@@ -301,14 +301,14 @@ impl ProgramIndex {
     /// Builds the index for a validated project. Must only be called after
     /// validation succeeded: lowering relies on its invariants (catch and
     /// instanceof types declared, no duplicate methods, known parents).
-    pub fn build(files: &[SourceFile], symbols: &SymbolTable) -> ProgramIndex {
+    pub fn build(files: &[Arc<SourceFile>], symbols: &SymbolTable) -> ProgramIndex {
         Builder::run(files, symbols)
     }
 }
 
 /// A compressed-sparse-row table: row `r` is the slice
 /// `values[offsets[r]..offsets[r + 1]]`.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Csr {
     offsets: Vec<u32>,
     values: Vec<u32>,
@@ -360,7 +360,7 @@ fn lookup_sorted<T: Copy>(table: &[(Symbol, T)], sym: Symbol) -> Option<T> {
 
 /// A lowered statement. Mirrors [`Stmt`] one-for-one so the interpreter's
 /// control flow (and fuel accounting) is unchanged.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum LStmt {
     /// `var name = init;` — always writes the local slot.
     Var {
@@ -474,7 +474,7 @@ pub enum LStmt {
 
 /// A lowered catch clause. The exception type is always declared (the
 /// validator guarantees it), so matching is a pure table lookup.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct LCatch {
     /// Caught exception type.
     pub exc: ExcId,
@@ -485,7 +485,7 @@ pub struct LCatch {
 }
 
 /// A lowered expression.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum LExpr {
     /// A literal.
     Literal(Literal),
@@ -721,7 +721,7 @@ struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    fn run(files: &[SourceFile], symbols: &'a SymbolTable) -> ProgramIndex {
+    fn run(files: &[Arc<SourceFile>], symbols: &'a SymbolTable) -> ProgramIndex {
         let mut b = Builder {
             symbols,
             interner: Interner::new(),

@@ -39,7 +39,7 @@ pub struct MethodSym {
 }
 
 /// A string interner: bidirectional `String` ↔ [`Symbol`] map.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Interner {
     strings: Vec<String>,
     map: HashMap<String, u32>,

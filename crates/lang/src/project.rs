@@ -3,10 +3,12 @@
 
 use crate::ast::{walk_exprs, CallId, ClassDecl, Expr, Item, Literal, MethodDecl};
 use crate::error::Diagnostic;
+use crate::index::ProgramIndex;
 use crate::parser::parse_file;
 use crate::span::{LineMap, Span};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a source file within a [`Project`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,7 +39,7 @@ impl fmt::Display for CallSite {
 }
 
 /// A parsed source file plus its raw text (kept for the LLM analyses).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceFile {
     /// File path (used in diagnostics and reports).
     pub path: String,
@@ -80,7 +82,7 @@ impl fmt::Display for MethodId {
 }
 
 /// Information about one declared class.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassInfo {
     /// File the class is declared in.
     pub file: FileId,
@@ -91,7 +93,7 @@ pub struct ClassInfo {
 }
 
 /// Information about one declared exception type.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExceptionInfo {
     /// Parent exception type (`None` only for the root `Throwable`).
     pub parent: Option<String>,
@@ -116,7 +118,7 @@ pub const BUILTIN_EXCEPTIONS: &[(&str, Option<&str>)] = &[
 ];
 
 /// Symbols declared across a project: classes, exceptions, and configs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SymbolTable {
     classes: HashMap<String, ClassInfo>,
     exceptions: HashMap<String, ExceptionInfo>,
@@ -190,13 +192,15 @@ impl SymbolTable {
 pub struct Project {
     /// Project (application) name, e.g. `"hdfs"`.
     pub name: String,
-    /// Source files in compilation order.
-    pub files: Vec<SourceFile>,
+    /// Source files in compilation order. Shared, so a project derived by
+    /// [`Project::with_file_replaced`] reuses every file it did not
+    /// reparse.
+    pub files: Vec<Arc<SourceFile>>,
     /// Project-wide symbol table.
     pub symbols: SymbolTable,
     /// The compile-once execution index (interned names, lowered bodies,
     /// resolution tables). Built after validation; shared across workers.
-    pub index: std::sync::Arc<crate::index::ProgramIndex>,
+    pub index: Arc<ProgramIndex>,
 }
 
 impl Project {
@@ -211,35 +215,55 @@ impl Project {
         let mut files = Vec::new();
         let mut errors = Vec::new();
         for (path, source) in sources {
-            let path = path.into();
-            let source = source.into();
-            match parse_file(&source) {
-                Ok(items) => files.push(SourceFile {
-                    path,
-                    source,
-                    items,
-                }),
-                Err(err) => errors.push(err.with_path(&path)),
+            match parse_source(path.into(), source.into()) {
+                Ok(file) => files.push(Arc::new(file)),
+                Err(err) => errors.push(err),
             }
         }
         if !errors.is_empty() {
             return Err(errors);
         }
+        Project::link(name.into(), files)
+    }
+
+    /// This project with the file at `path` replaced by `source`: the one
+    /// file is reparsed, every other file is shared, and the whole
+    /// program is relinked exactly as [`Project::compile`] links it. The
+    /// result (project or diagnostics) therefore equals compiling the
+    /// patched source list. `path` must name a file of this project.
+    pub fn with_file_replaced(
+        &self,
+        path: &str,
+        source: impl Into<String>,
+    ) -> Result<Project, Vec<Diagnostic>> {
+        let Some(at) = self.files.iter().position(|f| f.path == path) else {
+            return Err(vec![Diagnostic::new(
+                Span::default(),
+                format!("no file `{path}` in project `{}`", self.name),
+            )
+            .with_path(path)]);
+        };
+        let file = parse_source(path.to_string(), source.into()).map_err(|err| vec![err])?;
+        let mut files = self.files.clone();
+        files[at] = Arc::new(file);
+        Project::link(self.name.clone(), files)
+    }
+
+    /// The one link step: symbols, validation, then the index.
+    fn link(name: String, files: Vec<Arc<SourceFile>>) -> Result<Project, Vec<Diagnostic>> {
+        let mut errors = Vec::new();
         let symbols = build_symbols(&files, &mut errors);
         let mut project = Project {
-            name: name.into(),
+            name,
             files,
             symbols,
-            index: std::sync::Arc::new(crate::index::ProgramIndex::default()),
+            index: Arc::new(ProgramIndex::default()),
         };
         project.validate(&mut errors);
         if errors.is_empty() {
             // The index builder relies on validation invariants (declared
             // catch/instanceof types, unique methods), so build it last.
-            project.index = std::sync::Arc::new(crate::index::ProgramIndex::build(
-                &project.files,
-                &project.symbols,
-            ));
+            project.index = Arc::new(ProgramIndex::build(&project.files, &project.symbols));
             Ok(project)
         } else {
             Err(errors)
@@ -377,7 +401,19 @@ impl Project {
     }
 }
 
-fn build_symbols(files: &[SourceFile], errors: &mut Vec<Diagnostic>) -> SymbolTable {
+/// Parses one file; a parse error carries the file's path.
+fn parse_source(path: String, source: String) -> Result<SourceFile, Diagnostic> {
+    match parse_file(&source) {
+        Ok(items) => Ok(SourceFile {
+            path,
+            source,
+            items,
+        }),
+        Err(err) => Err(err.with_path(&path)),
+    }
+}
+
+fn build_symbols(files: &[Arc<SourceFile>], errors: &mut Vec<Diagnostic>) -> SymbolTable {
     let mut symbols = SymbolTable::default();
     for (name, parent) in BUILTIN_EXCEPTIONS {
         symbols.exceptions.insert(
@@ -443,8 +479,7 @@ fn build_symbols(files: &[SourceFile], errors: &mut Vec<Diagnostic>) -> SymbolTa
         }
     }
     // Check exception parents after all declarations are collected.
-    for (fidx, file) in files.iter().enumerate() {
-        let _ = fidx;
+    for file in files {
         for item in &file.items {
             if let Item::ExceptionDecl(decl) = item {
                 let parent = decl.parent.as_deref().unwrap_or("Exception");
@@ -585,6 +620,33 @@ mod tests {
     fn parse_errors_carry_paths() {
         let err = Project::compile("t", vec![("bad.jav", "class {")]).unwrap_err();
         assert_eq!(err[0].path, "bad.jav");
+    }
+
+    #[test]
+    fn replacing_a_file_reparses_it_alone_and_relinks() {
+        let base = compile(&[
+            ("e.jav", "exception E;"),
+            ("a.jav", "class A { method m() throws E { } }"),
+            ("b.jav", "class B extends A { }"),
+        ]);
+        let edited = base
+            .with_file_replaced("a.jav", "class A { method m() { } method n() { } }")
+            .expect("edit compiles");
+        assert!(Arc::ptr_eq(&edited.files[0], &base.files[0]));
+        assert!(!Arc::ptr_eq(&edited.files[1], &base.files[1]));
+        assert!(Arc::ptr_eq(&edited.files[2], &base.files[2]));
+        assert_eq!(edited.files[1].path, "a.jav");
+        assert!(edited.resolve_method("B", "n").is_some(), "B sees A's new method");
+
+        // Dropping a class another file extends fails the link, exactly as
+        // a full compile of the edited sources does.
+        let err = base.with_file_replaced("a.jav", "class Z { }").unwrap_err();
+        assert!(err[0].message.contains("unknown superclass `A`"));
+        assert_eq!(err[0].path, "b.jav");
+        let err = base.with_file_replaced("a.jav", "class {").unwrap_err();
+        assert_eq!(err[0].path, "a.jav");
+        let err = base.with_file_replaced("nope.jav", "").unwrap_err();
+        assert!(err[0].message.contains("no file `nope.jav`"));
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //! (which methods) → Q2 (delay?) → Q3 (cap?). A flagged retry method in a
 //! file answering No to Q2 yields a missing-delay finding; No to Q3 yields a
 //! missing-cap finding.
+//!
+//! [`sweep_file`] is the per-file workflow and [`sweep_project`] runs it
+//! over every file. [`LlmSweep::replace_file`] swaps one file's answers in
+//! a finished sweep, which is how repair revalidates a one-file patch
+//! without re-asking about the other files.
 
 use crate::model::{LanguageModel, Usage};
 use crate::prompts;
-use wasabi_lang::project::{FileId, Project};
+use wasabi_lang::project::{FileId, Project, SourceFile};
 
 /// WHEN-bug categories the LLM detector reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,7 +34,7 @@ impl std::fmt::Display for LlmWhenKind {
 }
 
 /// The per-file answers gathered by the sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileReport {
     /// File id in the project.
     pub file: FileId,
@@ -61,14 +66,52 @@ pub struct LlmWhenFinding {
 }
 
 /// The result of an LLM static sweep over a project.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LlmSweep {
-    /// Per-file reports for files where Q1 answered Yes.
+    /// Per-file reports for files where Q1 answered Yes, in file order.
     pub retry_files: Vec<FileReport>,
-    /// WHEN-bug findings.
+    /// WHEN-bug findings, in file order.
     pub findings: Vec<LlmWhenFinding>,
     /// API usage for the whole sweep.
     pub usage: Usage,
+}
+
+/// The workflow's answers about one file: its contribution to an
+/// [`LlmSweep`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct FileSweep {
+    /// File id in the project.
+    pub file: FileId,
+    /// The file's report, when Q1 answered Yes.
+    pub report: Option<FileReport>,
+    /// The file's WHEN-bug findings, in method order.
+    pub findings: Vec<LlmWhenFinding>,
+    /// API usage for this file's questions.
+    pub usage: Usage,
+}
+
+impl LlmSweep {
+    /// Swaps one file's contribution: `old` is what the sweep holds for
+    /// file `new.file` (the file swept before its edit), `new` the edited
+    /// file's answers. The report and findings keep their place in file
+    /// order, and `usage` drops `old`'s usage and adds `new`'s. With a
+    /// model whose answers about a file depend only on that file, as
+    /// [`SimulatedLlm`](crate::simulated::SimulatedLlm)'s do, this equals
+    /// re-sweeping the whole project with the file edited.
+    pub fn replace_file(&mut self, old: &FileSweep, new: FileSweep) {
+        let file = new.file;
+        let reports = file_range(&self.retry_files, file, |r| r.file);
+        self.retry_files.splice(reports, new.report);
+        let findings = file_range(&self.findings, file, |f| f.file);
+        self.findings.splice(findings, new.findings);
+        self.usage.retract(&old.usage);
+        self.usage.absorb(&new.usage);
+    }
+}
+
+/// The index range of `file`'s entries in a list sorted by file id.
+fn file_range<T>(items: &[T], file: FileId, key: impl Fn(&T) -> FileId) -> std::ops::Range<usize> {
+    items.partition_point(|item| key(item) < file)..items.partition_point(|item| key(item) <= file)
 }
 
 /// Runs the full LLM static-checking workflow over every file.
@@ -76,71 +119,91 @@ pub fn sweep_project(project: &Project, llm: &mut dyn LanguageModel) -> LlmSweep
     let usage_before = llm.usage();
     let mut sweep = LlmSweep::default();
     for (fidx, file) in project.files.iter().enumerate() {
-        let file_id = FileId(fidx as u32);
-        let q1 = prompts::q1_performs_retry(&file.path, &file.source);
-        if !llm.ask_yes_no(&q1).is_yes() {
-            continue;
-        }
-        let poll_excluded = llm
-            .ask_yes_no(&prompts::q4_poll_or_spin(&file.path))
-            .is_yes();
-        if poll_excluded {
-            sweep.retry_files.push(FileReport {
-                file: file_id,
-                path: file.path.clone(),
-                performs_retry: true,
-                poll_excluded: true,
-                retry_methods: Vec::new(),
-                sleeps_before_retry: false,
-                has_cap: false,
-            });
-            continue;
-        }
-        let mut retry_methods = llm.ask_methods(&prompts::q1_which_methods(&file.path));
-        if retry_methods.is_empty() {
-            // The model said "this file performs retry" but could not name a
-            // method — attribute the finding to the file as a whole.
-            retry_methods.push(format!("<file:{}>", file.path));
-        }
-        let sleeps = llm
-            .ask_yes_no(&prompts::q2_sleeps_before_retry(&file.path))
-            .is_yes();
-        let has_cap = llm.ask_yes_no(&prompts::q3_has_cap(&file.path)).is_yes();
-        for method in &retry_methods {
-            if !sleeps {
-                sweep.findings.push(LlmWhenFinding {
-                    file: file_id,
-                    path: file.path.clone(),
-                    method: method.clone(),
-                    kind: LlmWhenKind::MissingDelay,
-                });
-            }
-            if !has_cap {
-                sweep.findings.push(LlmWhenFinding {
-                    file: file_id,
-                    path: file.path.clone(),
-                    method: method.clone(),
-                    kind: LlmWhenKind::MissingCap,
-                });
-            }
-        }
-        sweep.retry_files.push(FileReport {
+        sweep
+            .retry_files
+            .extend(ask_file(FileId(fidx as u32), file, llm, &mut sweep.findings));
+    }
+    sweep.usage = llm.usage().since(&usage_before);
+    sweep
+}
+
+/// Runs the workflow over one file.
+pub fn sweep_file(file_id: FileId, file: &SourceFile, llm: &mut dyn LanguageModel) -> FileSweep {
+    let usage_before = llm.usage();
+    let mut findings = Vec::new();
+    let report = ask_file(file_id, file, llm, &mut findings);
+    FileSweep {
+        file: file_id,
+        report,
+        findings,
+        usage: llm.usage().since(&usage_before),
+    }
+}
+
+/// Q1, then Q4, the method follow-up, Q2 and Q3 when Q1 answers Yes.
+/// Returns the file's report, if Q1 answered Yes, and pushes its findings
+/// onto `findings`.
+fn ask_file(
+    file_id: FileId,
+    file: &SourceFile,
+    llm: &mut dyn LanguageModel,
+    findings: &mut Vec<LlmWhenFinding>,
+) -> Option<FileReport> {
+    let q1 = prompts::q1_performs_retry(&file.path, &file.source);
+    if !llm.ask_yes_no(&q1).is_yes() {
+        return None;
+    }
+    let poll_excluded = llm
+        .ask_yes_no(&prompts::q4_poll_or_spin(&file.path))
+        .is_yes();
+    if poll_excluded {
+        return Some(FileReport {
             file: file_id,
             path: file.path.clone(),
             performs_retry: true,
-            poll_excluded: false,
-            retry_methods,
-            sleeps_before_retry: sleeps,
-            has_cap,
+            poll_excluded: true,
+            retry_methods: Vec::new(),
+            sleeps_before_retry: false,
+            has_cap: false,
         });
     }
-    let usage_after = llm.usage();
-    sweep.usage = Usage {
-        calls: usage_after.calls - usage_before.calls,
-        bytes_sent: usage_after.bytes_sent - usage_before.bytes_sent,
-        tokens: usage_after.tokens - usage_before.tokens,
-    };
-    sweep
+    let mut retry_methods = llm.ask_methods(&prompts::q1_which_methods(&file.path));
+    if retry_methods.is_empty() {
+        // The model said "this file performs retry" but could not name a
+        // method — attribute the finding to the file as a whole.
+        retry_methods.push(format!("<file:{}>", file.path));
+    }
+    let sleeps = llm
+        .ask_yes_no(&prompts::q2_sleeps_before_retry(&file.path))
+        .is_yes();
+    let has_cap = llm.ask_yes_no(&prompts::q3_has_cap(&file.path)).is_yes();
+    for method in &retry_methods {
+        if !sleeps {
+            findings.push(LlmWhenFinding {
+                file: file_id,
+                path: file.path.clone(),
+                method: method.clone(),
+                kind: LlmWhenKind::MissingDelay,
+            });
+        }
+        if !has_cap {
+            findings.push(LlmWhenFinding {
+                file: file_id,
+                path: file.path.clone(),
+                method: method.clone(),
+                kind: LlmWhenKind::MissingCap,
+            });
+        }
+    }
+    Some(FileReport {
+        file: file_id,
+        path: file.path.clone(),
+        performs_retry: true,
+        poll_excluded: false,
+        retry_methods,
+        sleeps_before_retry: sleeps,
+        has_cap,
+    })
 }
 
 #[cfg(test)]
@@ -232,6 +295,36 @@ mod tests {
         let sweep = sweep_project(&p, &mut llm);
         assert_eq!(sweep.retry_files.len(), 1);
         assert!(sweep.retry_files[0].retry_methods.contains(&"run".to_string()));
+    }
+
+    #[test]
+    fn replacing_a_file_equals_resweeping_the_edited_project() {
+        // Files after the first declare their own client class and reuse
+        // the first file's exception.
+        let client = |name: &str, delay: bool, cap: bool| {
+            retry_file(delay, cap)
+                .replace("exception ConnectException;", "")
+                .replace("Client", name)
+        };
+        let files = |middle: String| {
+            vec![
+                ("a.jav", retry_file(false, false)),
+                ("b.jav", middle),
+                ("c.jav", client("C", true, false)),
+            ]
+        };
+        let plain = "class Plain { method add(a, b) { return a + b; } }".to_string();
+        let edits = [client("B", false, true), plain.clone(), client("B", true, true)];
+        let mut current = project(files(plain));
+        let mut sweep = sweep_project(&current, &mut SimulatedLlm::with_seed(3));
+        for edit in edits {
+            let edited = project(files(edit));
+            let mut llm = SimulatedLlm::with_seed(3);
+            let old = sweep_file(FileId(1), &current.files[1], &mut llm);
+            sweep.replace_file(&old, sweep_file(FileId(1), &edited.files[1], &mut llm));
+            assert_eq!(sweep, sweep_project(&edited, &mut SimulatedLlm::with_seed(3)));
+            current = edited;
+        }
     }
 
     #[test]

@@ -55,6 +55,20 @@ impl Usage {
         self.bytes_sent += other.bytes_sent;
         self.tokens += other.tokens;
     }
+
+    /// Takes back a usage record [`absorb`](Usage::absorb)ed earlier.
+    pub fn retract(&mut self, other: &Usage) {
+        self.calls -= other.calls;
+        self.bytes_sent -= other.bytes_sent;
+        self.tokens -= other.tokens;
+    }
+
+    /// The usage accrued since the cumulative reading `before`.
+    pub fn since(&self, before: &Usage) -> Usage {
+        let mut delta = *self;
+        delta.retract(before);
+        delta
+    }
 }
 
 /// An LLM that can answer WASABI's prompts.
@@ -109,5 +123,12 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.calls, 2);
         assert_eq!(a.bytes_sent, 300);
+        assert_eq!(a.since(&b), {
+            let mut first = Usage::default();
+            first.record(100);
+            first
+        });
+        a.retract(&b);
+        assert_eq!(a.bytes_sent, 100);
     }
 }

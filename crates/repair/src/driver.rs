@@ -20,10 +20,13 @@
 //!    report absent from the baseline; and the target's own bug kind
 //!    must no longer fire at the patched coordinator.
 //!
-//! A rejected candidate's failing-run trace is fed into the next
-//! template choice ([`select_template`]); run keys are splice-stable
-//! (insertions add no calls, and flattening removes none), so baseline
-//! outcomes stay addressable across candidates.
+//! Each candidate is the last *accepted* state with one file replaced:
+//! only that file is reparsed and re-asked of the LLM, while the static
+//! query, lint and campaign preparation run over the whole candidate (see
+//! `Compiled::with_patch`). A rejected candidate's failing-run trace is
+//! fed into the next template choice ([`select_template`]); run keys are
+//! splice-stable (insertions add no calls, and flattening removes none),
+//! so baseline outcomes stay addressable across candidates.
 //!
 //! Targets are keyed by `(code, coordinator, chain)`, not by position,
 //! so a diagnostic that disappears as a side effect of an earlier fix
@@ -36,11 +39,14 @@ use wasabi_analysis::checkers::{lint_project, LintOptions, LintResult};
 use wasabi_analysis::diag::Diagnostic;
 use wasabi_analysis::loops::LoopQueryOptions;
 use wasabi_analysis::patchsite::{amp_sites_for, patch_site_for, PatchSite};
-use wasabi_core::api::{compile_app, AppJob};
 use wasabi_core::dynamic::{prepare_campaign, DynamicOptions, PreparedCampaign};
+use wasabi_core::identify::{identify, reidentify_file, Identified};
+use wasabi_core::SimulatedLlm;
 use wasabi_engine::campaign::{run_campaign, CampaignOptions, RunRecord};
 use wasabi_engine::observer::outcome_kind;
 use wasabi_engine::NullObserver;
+use wasabi_lang::error::Diagnostic as LangDiagnostic;
+use wasabi_lang::project::{FileId, Project};
 use wasabi_oracles::OracleConfig;
 use wasabi_planner::plan::{targeted_runs, RunKey};
 
@@ -163,27 +169,73 @@ fn is_retry_code(code: &str) -> bool {
     matches!(code, "W001" | "W002" | "A001")
 }
 
-/// Compiled state for the current source set.
+/// Compiled state for the current source set: the project, its
+/// identification pass and its lint result. Never digested: only the
+/// daemon cache and the shard manifest read a source digest.
 struct Compiled {
-    job: AppJob,
+    project: Project,
+    identified: Identified,
     lint: LintResult,
 }
 
-fn compile_and_lint(
-    name: &str,
-    sources: &[(String, String)],
-    options: &RepairOptions,
-    lint_opts: &LintOptions,
-) -> Result<Compiled, String> {
-    let job = compile_app(name, sources.to_vec(), options.llm_seed).map_err(|diags| {
-        let first = diags
-            .first()
-            .map(|d| d.to_string())
-            .unwrap_or_else(|| "unknown error".to_string());
-        format!("candidate does not compile: {first}")
-    })?;
-    let lint = lint_project(&job.project, lint_opts);
-    Ok(Compiled { job, lint })
+impl Compiled {
+    /// Compiles, identifies and lints `sources` from scratch.
+    fn new(
+        name: &str,
+        sources: Vec<(String, String)>,
+        options: &RepairOptions,
+        lint_opts: &LintOptions,
+    ) -> Result<Compiled, Vec<LangDiagnostic>> {
+        let project = Project::compile(name, sources)?;
+        let identified = identify(&project, &mut SimulatedLlm::with_seed(options.llm_seed));
+        Ok(Compiled::linted(project, identified, lint_opts))
+    }
+
+    /// This state with `patch` applied. Only the patched file is reparsed
+    /// and re-asked of the LLM, whose answers about a file depend on that
+    /// file alone; the static query, lint and (in the caller) campaign
+    /// preparation run over the whole candidate, so the result equals
+    /// [`Compiled::new`] on the patched sources.
+    fn with_patch(
+        &self,
+        patch: &PatchedFile,
+        options: &RepairOptions,
+        lint_opts: &LintOptions,
+    ) -> Result<Compiled, Vec<LangDiagnostic>> {
+        let project = self
+            .project
+            .with_file_replaced(&patch.path, patch.source.as_str())?;
+        let at = project
+            .files
+            .iter()
+            .position(|f| f.path == patch.path)
+            .expect("a replaced file keeps its path");
+        let identified = reidentify_file(
+            &project,
+            &self.identified,
+            FileId(at as u32),
+            &self.project.files[at],
+            &mut SimulatedLlm::with_seed(options.llm_seed),
+        );
+        Ok(Compiled::linted(project, identified, lint_opts))
+    }
+
+    fn linted(project: Project, identified: Identified, lint_opts: &LintOptions) -> Compiled {
+        let lint = lint_project(&project, lint_opts);
+        Compiled {
+            project,
+            identified,
+            lint,
+        }
+    }
+}
+
+/// The first diagnostic of a failed compile, for a rejection reason.
+fn first_error(diags: &[LangDiagnostic]) -> String {
+    diags
+        .first()
+        .map(|d| d.to_string())
+        .unwrap_or_else(|| "unknown error".to_string())
 }
 
 fn dynamic_options(options: &RepairOptions) -> DynamicOptions {
@@ -252,19 +304,6 @@ fn select_template(code: &str, tried: &[TemplateAttempt], trace: &str) -> Option
     remaining.first().copied()
 }
 
-fn apply_patch(sources: &[(String, String)], patch: &PatchedFile) -> Vec<(String, String)> {
-    sources
-        .iter()
-        .map(|(path, text)| {
-            if *path == patch.path {
-                (path.clone(), patch.source.clone())
-            } else {
-                (path.clone(), text.clone())
-            }
-        })
-        .collect()
-}
-
 /// W/A-class fingerprints of a lint result — the set the no-new-findings
 /// subset check runs over.
 fn retry_fingerprints(lint: &LintResult) -> BTreeSet<String> {
@@ -280,11 +319,12 @@ struct Validated {
     runs_executed: usize,
 }
 
-/// Validates one candidate. `Err` carries `(reason, failing-run trace)`.
+/// Validates one candidate: `current` with `patch` applied. `Err`
+/// carries `(reason, failing-run trace)`.
 #[allow(clippy::too_many_arguments)]
 fn validate_candidate(
-    name: &str,
-    candidate: &[(String, String)],
+    current: &Compiled,
+    patch: &PatchedFile,
     target: &TargetKey,
     coordinators: &BTreeSet<String>,
     options: &RepairOptions,
@@ -293,8 +333,14 @@ fn validate_candidate(
     baseline_outcomes: &BTreeMap<RunKey, String>,
     baseline_reports: &BTreeSet<(String, String)>,
 ) -> Result<Validated, (String, String)> {
-    let compiled = compile_and_lint(name, candidate, options, lint_opts)
-        .map_err(|e| (e, String::new()))?;
+    let compiled = current
+        .with_patch(patch, options, lint_opts)
+        .map_err(|diags| {
+            (
+                format!("candidate does not compile: {}", first_error(&diags)),
+                String::new(),
+            )
+        })?;
 
     if compiled
         .lint
@@ -321,14 +367,14 @@ fn validate_candidate(
 
     let dyn_opts = dynamic_options(options);
     let prepared = prepare_campaign(
-        &compiled.job.project,
-        &compiled.job.identified.locations,
+        &compiled.project,
+        &compiled.identified.locations,
         &dyn_opts,
         &mut NullObserver,
     );
     let runs = targeted_runs(&prepared.runs, coordinators);
     let result = run_campaign(
-        &compiled.job.project,
+        &compiled.project,
         &runs,
         &campaign_options(&prepared, options),
         &mut NullObserver,
@@ -389,21 +435,20 @@ pub fn repair(
         // just be recomputed on every candidate for nothing.
         ifratio: false,
     };
-    let mut current = sources;
-    let mut compiled = compile_and_lint(name, &current, options, &lint_opts)
-        .map_err(|e| e.replace("candidate does not compile", "sources do not compile"))?;
+    let mut compiled = Compiled::new(name, sources, options, &lint_opts)
+        .map_err(|diags| format!("sources do not compile: {}", first_error(&diags)))?;
 
     // Baseline campaign: outcome kinds and report keys per run key, the
     // reference every validation compares against.
     let dyn_opts = dynamic_options(options);
     let prepared = prepare_campaign(
-        &compiled.job.project,
-        &compiled.job.identified.locations,
+        &compiled.project,
+        &compiled.identified.locations,
         &dyn_opts,
         &mut NullObserver,
     );
     let baseline = run_campaign(
-        &compiled.job.project,
+        &compiled.project,
         &prepared.runs,
         &campaign_options(&prepared, options),
         &mut NullObserver,
@@ -483,18 +528,17 @@ pub fn repair(
             // Resolve the patch site(s) against the *current* sources —
             // positions move as earlier fixes land.
             let resolved: Option<(PatchSite, Option<PatchSite>)> = if target.code == "A001" {
-                amp_sites_for(&compiled.job.project, &diag, &options.loops)
+                amp_sites_for(&compiled.project, &diag, &options.loops)
                     .map(|(outer, inner)| (outer, Some(inner)))
             } else {
-                patch_site_for(&compiled.job.project, &diag, &options.loops)
-                    .map(|site| (site, None))
+                patch_site_for(&compiled.project, &diag, &options.loops).map(|site| (site, None))
             };
             let Some((site, inner)) = resolved else {
                 reason = "could not resolve the diagnostic to a loop".to_string();
                 break;
             };
 
-            match synthesize(template, &compiled.job.project, &site, inner.as_ref()) {
+            match synthesize(template, &compiled.project, &site, inner.as_ref()) {
                 Err(why) => {
                     tried.push(TemplateAttempt {
                         template: template.name(),
@@ -504,15 +548,14 @@ pub fn repair(
                 }
                 Ok(patch) => {
                     attempts += 1;
-                    let candidate = apply_patch(&current, &patch);
                     let mut coordinators = BTreeSet::new();
                     coordinators.insert(target.coordinator.clone());
                     if let Some(inner) = &inner {
                         coordinators.insert(inner.method.to_string());
                     }
                     match validate_candidate(
-                        name,
-                        &candidate,
+                        &compiled,
+                        &patch,
                         &target,
                         &coordinators,
                         options,
@@ -528,7 +571,6 @@ pub fn repair(
                                 accepted: true,
                                 reason: String::new(),
                             });
-                            current = candidate;
                             compiled = validated.compiled;
                             fixed = true;
                             break;
@@ -567,7 +609,12 @@ pub fn repair(
     Ok(RepairOutcome {
         app: name.to_string(),
         targets: results,
-        sources: current,
+        sources: compiled
+            .project
+            .files
+            .iter()
+            .map(|f| (f.path.clone(), f.source.clone()))
+            .collect(),
         baseline_runs,
         validation_runs,
         max_fix_attempts: options.max_fix_attempts,

@@ -47,7 +47,9 @@
 //!   fix at least 80% of the fixable seeded W001/W002/A001 bugs within
 //!   the default 3 attempts, fix at least one bug in every class that
 //!   seeds any, and emit byte-identical reports for `--jobs 1` and
-//!   `--jobs 4`. Writes `target/BENCH_PR9.json` with the per-app and per-class
+//!   `--jobs 4` whose per-app digests match
+//!   `scripts/repair_report_digest.txt` (`--record` rewrites the file).
+//!   Writes `target/BENCH_PR9.json` with the per-app and per-class
 //!   fix rates and the attempts-vs-fix-rate curve.
 //! - `lint-gate` — the retry-policy abstract-interpretation gate: over
 //!   all eight corpus apps (small scale, amplification AND policy seeds
@@ -62,10 +64,8 @@
 //!   reproduce the checked-in `repro_paper_output.txt` byte for byte.
 //!
 //! Timing is not measured here: `python3 perfbench/run.py` is the one
-//! timing harness (see `perfbench/README.md`). The `BENCH_PR*.json` files
-//! at the repository root are the records each change committed; the
-//! gates write their fresh measurements under `target/` instead of
-//! overwriting them.
+//! timing harness (see `perfbench/README.md`). The gates write their
+//! measurements under `target/`.
 
 use std::env;
 use std::fs;
@@ -120,7 +120,7 @@ fn main() {
         }
         "repair-gate" => {
             run_stage("build --release --bin wasabi", &["build", "--release", "--bin", "wasabi"]);
-            repair_gate();
+            repair_gate(flags.iter().any(|f| f == "--record"));
         }
         "lint-gate" => {
             run_stage("build --release --bin wasabi", &["build", "--release", "--bin", "wasabi"]);
@@ -285,6 +285,7 @@ const LINT_BASELINE_PATH: &str = "scripts/lint_baseline.txt";
 const REPRO_OUTPUT_PATH: &str = "repro_paper_output.txt";
 const ADAPTIVE_BENCH_OUT: &str = "target/BENCH_PR8.json";
 const REPAIR_BENCH_OUT: &str = "target/BENCH_PR9.json";
+const REPAIR_DIGEST_PATH: &str = "scripts/repair_report_digest.txt";
 const POLICY_BENCH_OUT: &str = "target/BENCH_PR10.json";
 /// Aggregate and per-class fix-rate floor (percent) for the repair gate.
 const REPAIR_RATE_FLOOR: u64 = 80;
@@ -787,8 +788,10 @@ fn adaptive_gate() {
 /// (small scale, amplification seeds included) must fix at least
 /// [`REPAIR_RATE_FLOOR`]% of the fixable seeded bugs — in aggregate and
 /// per class — within the default 3 attempts, and the report must be
-/// byte-identical between `--jobs 1` and `--jobs 4`.
-fn repair_gate() {
+/// byte-identical between `--jobs 1` and `--jobs 4` and match the digest
+/// pinned in `scripts/repair_report_digest.txt` (or, with `record`,
+/// rewrite it).
+fn repair_gate(record: bool) {
     eprintln!("==> repair gate: auto-repair fix rate over the seeded corpus");
     let wasabi = release_wasabi();
     let work = env::temp_dir().join(format!("wasabi-repair-gate-{}", std::process::id()));
@@ -839,6 +842,7 @@ fn repair_gate() {
         vec![("W001", 0, 0), ("W002", 0, 0), ("A001", 0, 0)];
     let mut histogram: Vec<(u64, u64)> = Vec::new();
     let mut app_docs = Vec::new();
+    let mut digests = String::new();
     let (mut total_fixable, mut total_fixed) = (0u64, 0u64);
     let (mut total_targets, mut total_targets_fixed) = (0u64, 0u64);
     for app in ADAPTIVE_APPS {
@@ -862,6 +866,7 @@ fn repair_gate() {
         if one != four {
             fail(&format!("repair gate: {app} report differs between --jobs 1 and --jobs 4"));
         }
+        digests.push_str(&format!("{app} {:016x}\n", fnv1a64(&one)));
         let report = String::from_utf8(one)
             .unwrap_or_else(|e| fail(&format!("{app} report not utf-8: {e}")));
 
@@ -901,6 +906,23 @@ fn repair_gate() {
             "{{\"app\": \"{app}\", \"fixable\": {app_fixable}, \"fixed\": {app_fixed}, \
              \"fix_rate_percent\": {rate}}}"
         ));
+    }
+
+    if record {
+        fs::write(REPAIR_DIGEST_PATH, &digests)
+            .unwrap_or_else(|e| fail(&format!("write {REPAIR_DIGEST_PATH}: {e}")));
+        eprintln!("repair gate: recorded to {REPAIR_DIGEST_PATH}:\n{digests}");
+    } else {
+        let recorded = fs::read_to_string(REPAIR_DIGEST_PATH).unwrap_or_else(|_| {
+            fail(&format!(
+                "{REPAIR_DIGEST_PATH} missing — record one with `cargo xtask repair-gate --record`"
+            ))
+        });
+        if recorded != digests {
+            eprintln!("recorded:\n{recorded}\ncomputed:\n{digests}");
+            fail("repair gate: repair report digest changed — the reports are no longer byte-identical");
+        }
+        eprintln!("    repair report digests unchanged ({} apps)", ADAPTIVE_APPS.len());
     }
 
     let aggregate_rate = (total_fixed * 100)

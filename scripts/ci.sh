@@ -41,8 +41,10 @@
 #   9. repair gate: `wasabi repair` over all eight corpus apps (small
 #      scale, amplification seeds included) must fix at least 80% of the
 #      fixable seeded W001/W002/A001 bugs — in aggregate and per class —
-#      within the default 3 attempts, with byte-identical reports for
-#      --jobs 1 and --jobs 4 (writes target/BENCH_PR9.json).
+#      within the default 3 attempts, with reports byte-identical for
+#      --jobs 1 and --jobs 4 and matching the per-app digests pinned in
+#      scripts/repair_report_digest.txt (re-record deliberately with
+#      `cargo xtask repair-gate --record`; writes target/BENCH_PR9.json).
 #  10. lint gate (retry-policy abstract interpretation): `wasabi lint
 #      --json --cross-check` over all eight corpus apps (small scale,
 #      amplification and policy seeds included) must be byte-identical
@@ -59,8 +61,7 @@
 #      once per corruption, showing every ground-truth check can fail.
 #      It times nothing that gates; it builds into target/perfbench.
 #
-# Gates write their measurements under target/; the BENCH_PR*.json files
-# at the repository root are committed records and CI never rewrites them.
+# Gates write their measurements under target/.
 #
 # Everything resolves offline: the workspace has no registry dependencies.
 set -euo pipefail

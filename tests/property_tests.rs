@@ -1,5 +1,5 @@
 //! Randomized property tests over the language front end, the CFG, the
-//! planner, and the wire and disk decoders, driven by the in-repo seeded
+//! planner, incremental recompilation, and the wire and disk decoders, driven by the in-repo seeded
 //! PRNG (`wasabi::util::Rng`) so the suite needs no external framework
 //! and every failure is reproducible from the printed seed.
 //!
@@ -1336,6 +1336,315 @@ fn comprehension_gate_matches_ungated_model() {
     // alone would lose them).
     assert!(methods_named > 100, "only {methods_named} method lists were non-empty");
     assert!(errcode_only > 5, "only {errcode_only} error-code-only method lists");
+}
+
+// ---- Incremental revalidation ----------------------------------------------
+
+/// How [`gen_incr_file`] shapes file `i`, including the edits that make a
+/// program fail to parse or to validate.
+#[derive(Clone, Copy, Default)]
+struct IncrShape {
+    /// Leave out exception `X{i}`, which other files may catch or extend.
+    no_exception: bool,
+    /// Leave out class `C{i}`, which other files may extend.
+    no_class: bool,
+    /// Declare `op0` twice.
+    dup_method: bool,
+    /// Catch an exception nobody declares.
+    unknown_exception: bool,
+    /// Also declare another file's class.
+    dup_class: Option<usize>,
+    /// Cut the text at this fraction of its length.
+    truncate: Option<f64>,
+}
+
+/// File `i` of an `n`-file program: exception `X{i}` (possibly extending
+/// an earlier file's), class `C{i}` (possibly extending an earlier file's
+/// class), `op` methods throwing any file's exception, retry loops around
+/// `this` and cross-file calls (with or without a cap and a delay, a few
+/// in queue or poll vocabulary), and a test.
+fn gen_incr_file(rng: &mut Rng, i: usize, n: usize, shape: IncrShape) -> String {
+    let mut src = String::new();
+    if !shape.no_exception {
+        match i {
+            0 => src.push_str("exception X0;\n"),
+            _ => src.push_str(&format!("exception X{i} extends X{};\n", rng.below(i as u64))),
+        }
+    }
+    if rng.chance(0.3) {
+        src.push_str(&format!("config \"k{i}.retries\" default {};\n", rng.range(1, 5)));
+    }
+    if let Some(j) = shape.dup_class {
+        src.push_str(&format!("class C{j} {{ }}\n"));
+    }
+    if shape.no_class {
+        return src;
+    }
+    let parent = match i {
+        0 => String::new(),
+        _ if rng.chance(0.4) => format!(" extends C{}", rng.below(i as u64)),
+        _ => String::new(),
+    };
+    src.push_str(&format!("class C{i}{parent} {{\n  field n = {i};\n"));
+    let ops = rng.range(1, 3) as usize;
+    for m in 0..ops {
+        let x = rng.below(n as u64);
+        src.push_str(&format!(
+            "  method op{m}(p) throws X{x} {{ if (p < {m}) {{ throw new X{x}(\"flaky\"); }} return p; }}\n"
+        ));
+    }
+    if shape.dup_method {
+        src.push_str("  method op0(p) { return 0; }\n");
+    }
+    for r in 0..rng.range(0, 3) {
+        let x = if shape.unknown_exception && r == 0 {
+            "Nope".to_string()
+        } else {
+            format!("X{}", rng.below(n as u64))
+        };
+        let callee = match rng.below(3) {
+            0 => format!("new C{}().op0(p)", rng.below(n as u64)),
+            _ => format!("this.op{}(p)", rng.below(ops as u64)),
+        };
+        let cond = match rng.below(2) {
+            0 => "retry < 3",
+            _ => "true",
+        };
+        let handler = match rng.below(3) {
+            0 => "sleep(10);",
+            1 => "log(\"again\");",
+            _ => "this.n = this.n + 1;",
+        };
+        let vocabulary = *rng.pick(&["// retry on transient errors", "// poll until ready", ""]);
+        src.push_str(&format!(
+            "  method run{r}(p) {{\n    {vocabulary}\n    for (var retry = 0; {cond}; retry = retry + 1) {{\n      \
+             try {{ return {callee}; }} catch ({x} e) {{ {handler} }}\n    }}\n    return null;\n  }}\n"
+        ));
+    }
+    if rng.chance(0.5) {
+        src.push_str(&format!("  test t{i}() {{ var c = new C{i}(); assert(c.op0(1) == 1); }}\n"));
+    }
+    src.push_str("}\n");
+    if let Some(cut) = shape.truncate {
+        let mut at = (src.len() as f64 * cut) as usize;
+        while !src.is_char_boundary(at) {
+            at -= 1;
+        }
+        src.truncate(at);
+    }
+    src
+}
+
+/// A random edit of file `i`: a regenerated file, or one that fails to
+/// parse, declares something twice, names an undeclared exception, or
+/// drops a declaration other files use.
+fn gen_incr_edit(rng: &mut Rng, i: usize, n: usize) -> String {
+    let mut shape = IncrShape::default();
+    match rng.below(8) {
+        0 => shape.no_exception = true,
+        1 => shape.no_class = true,
+        2 => shape.dup_method = true,
+        3 => shape.unknown_exception = true,
+        4 => shape.dup_class = Some(rng.below(n as u64) as usize),
+        5 => shape.truncate = Some(rng.unit()),
+        _ => {}
+    }
+    gen_incr_file(rng, i, n, shape)
+}
+
+/// `incremental` (from [`Project::with_file_replaced`] on `base`) equals
+/// `full` (a compile of the patched sources): the same errors, or the same
+/// files, symbols and index, with every file but `edited` shared with
+/// `base`.
+fn assert_same_compile(
+    label: &str,
+    base: &wasabi::lang::project::Project,
+    edited: usize,
+    incremental: &Result<wasabi::lang::project::Project, Vec<wasabi::lang::error::Diagnostic>>,
+    full: &Result<wasabi::lang::project::Project, Vec<wasabi::lang::error::Diagnostic>>,
+) {
+    match (incremental, full) {
+        (Err(inc), Err(full)) => assert_eq!(inc, full, "{label}: diagnostics"),
+        (Ok(inc), Ok(full)) => {
+            assert_eq!(inc.name, full.name, "{label}: name");
+            assert_eq!(inc.files.len(), full.files.len(), "{label}: file count");
+            for (f, (a, b)) in inc.files.iter().zip(&full.files).enumerate() {
+                assert_eq!(a.path, b.path, "{label}: file {f} path");
+                assert_eq!(a.source, b.source, "{label}: file {f} source");
+                assert!(a.items == b.items, "{label}: file {f} items");
+                assert_eq!(
+                    f != edited,
+                    std::sync::Arc::ptr_eq(a, &base.files[f]),
+                    "{label}: file {f} shared iff not edited"
+                );
+            }
+            assert!(inc.symbols == full.symbols, "{label}: symbols");
+            assert!(*inc.index == *full.index, "{label}: index tables");
+        }
+        (inc, full) => panic!(
+            "{label}: incremental {} but full compile {}",
+            if inc.is_ok() { "compiles" } else { "fails" },
+            if full.is_ok() { "compiles" } else { "fails" },
+        ),
+    }
+}
+
+/// [`reidentify_file`](wasabi::core::reidentify_file) on the incremental
+/// project equals `identify` on the full compile: the sweep's retry files,
+/// findings and usage, and the identified loops, coordinators and
+/// locations.
+fn assert_same_identified(
+    label: &str,
+    incremental: &wasabi::core::Identified,
+    full: &wasabi::core::Identified,
+) {
+    let (inc, all) = (&incremental.llm_sweep, &full.llm_sweep);
+    assert_eq!(inc.retry_files, all.retry_files, "{label}: retry files");
+    assert_eq!(inc.findings, all.findings, "{label}: findings");
+    assert_eq!(inc.usage, all.usage, "{label}: usage");
+    assert_eq!(
+        format!("{:?}", incremental.codeql_loops),
+        format!("{:?}", full.codeql_loops),
+        "{label}: loops"
+    );
+    assert_eq!(
+        incremental.llm_coordinators, full.llm_coordinators,
+        "{label}: coordinators"
+    );
+    assert_eq!(incremental.locations, full.locations, "{label}: locations");
+}
+
+/// Replacing one file of a compiled project equals compiling the patched
+/// sources, and re-asking the LLM about that file alone equals sweeping
+/// the whole patched project. Random multi-file programs take chains of
+/// random single-file edits; an edit that compiles becomes the base of the
+/// next (as an accepted repair candidate does), one that fails leaves the
+/// base as it was (as a rejected one does).
+#[test]
+fn file_replacement_matches_full_recompile() {
+    use wasabi::core::{identify, reidentify_file, SimulatedLlm};
+    use wasabi::lang::project::{FileId, Project};
+
+    let (mut accepted, mut rejected, mut resized) = (0usize, 0usize, 0usize);
+    for case in 0..150u64 {
+        let mut rng = Rng::new(0x1ac2_0000 + case);
+        let seed = rng.below(1 << 16);
+        let n = rng.range(2, 6) as usize;
+        let mut sources: Vec<(String, String)> = (0..n)
+            .map(|i| (format!("f{i}.jav"), gen_incr_file(&mut rng, i, n, IncrShape::default())))
+            .collect();
+        let mut base = Project::compile("incr", sources.clone())
+            .unwrap_or_else(|e| panic!("[case {case}] base does not compile: {e:?}"));
+        let mut identified = identify(&base, &mut SimulatedLlm::with_seed(seed));
+        for step in 0..4 {
+            let label = format!("[case {case} step {step}]");
+            let edited = rng.below(n as u64) as usize;
+            let text = gen_incr_edit(&mut rng, edited, n);
+            let mut patched = sources.clone();
+            patched[edited].1 = text.clone();
+            let incremental = base.with_file_replaced(&sources[edited].0, text.as_str());
+            let full = Project::compile("incr", patched.clone());
+            assert_same_compile(&label, &base, edited, &incremental, &full);
+            let (Ok(incremental), Ok(full)) = (incremental, full) else {
+                rejected += 1;
+                continue;
+            };
+            let next = reidentify_file(
+                &incremental,
+                &identified,
+                FileId(edited as u32),
+                &base.files[edited],
+                &mut SimulatedLlm::with_seed(seed),
+            );
+            assert_same_identified(
+                &label,
+                &next,
+                &identify(&full, &mut SimulatedLlm::with_seed(seed)),
+            );
+            resized += (next.llm_sweep.retry_files.len() != identified.llm_sweep.retry_files.len())
+                as usize;
+            accepted += 1;
+            sources = patched;
+            base = incremental;
+            identified = next;
+        }
+    }
+    // Not vacuous: both outcomes occur, and edits moved files in and out
+    // of the sweep's retry list.
+    assert!(accepted > 150, "only {accepted} edits compiled");
+    assert!(rejected > 200, "only {rejected} edits failed to compile");
+    assert!(resized > 50, "only {resized} edits changed the retry file count");
+}
+
+/// The same agreement on the patches repair really makes: every template
+/// for every W001, W002 and A001 diagnostic of the tiny-scale corpus apps
+/// (amplification seeds included), synthesized against the app as
+/// generated.
+#[test]
+fn repair_patches_match_full_recompile_on_corpus() {
+    use wasabi::analysis::checkers::{lint_project, LintOptions};
+    use wasabi::analysis::patchsite::{amp_sites_for, patch_site_for};
+    use wasabi::core::{identify, reidentify_file, SimulatedLlm};
+    use wasabi::corpus::spec::{paper_apps, Scale};
+    use wasabi::corpus::synth::generate_app_with_amp;
+    use wasabi::lang::project::{FileId, Project};
+    use wasabi::repair::{synthesize, templates_for};
+
+    let mut patches = 0usize;
+    for spec in paper_apps() {
+        let app = generate_app_with_amp(&spec, Scale::Tiny);
+        let seed = app.spec.seed;
+        let base = Project::compile(app.spec.name, app.files.clone()).expect("corpus compiles");
+        let identified = identify(&base, &mut SimulatedLlm::with_seed(seed));
+        let lint_opts = LintOptions {
+            ifratio: false,
+            ..LintOptions::default()
+        };
+        let lint = lint_project(&base, &lint_opts);
+        for diag in &lint.diagnostics {
+            let resolved = match diag.code {
+                "A001" => amp_sites_for(&base, diag, &lint_opts.loops)
+                    .map(|(outer, inner)| (outer, Some(inner))),
+                "W001" | "W002" => {
+                    patch_site_for(&base, diag, &lint_opts.loops).map(|site| (site, None))
+                }
+                _ => continue,
+            };
+            let Some((site, inner)) = resolved else { continue };
+            for template in templates_for(diag.code) {
+                let Ok(patch) = synthesize(*template, &base, &site, inner.as_ref()) else {
+                    continue;
+                };
+                let label = format!("[{} {} {}]", spec.short, diag.coordinator, template.name());
+                let edited = base
+                    .files
+                    .iter()
+                    .position(|f| f.path == patch.path)
+                    .expect("patch names a project file");
+                let mut patched = app.files.clone();
+                patched[edited].1 = patch.source.clone();
+                let incremental = base.with_file_replaced(&patch.path, patch.source.as_str());
+                let full = Project::compile(app.spec.name, patched);
+                assert_same_compile(&label, &base, edited, &incremental, &full);
+                let (Ok(incremental), Ok(full)) = (incremental, full) else {
+                    continue;
+                };
+                assert_same_identified(
+                    &label,
+                    &reidentify_file(
+                        &incremental,
+                        &identified,
+                        FileId(edited as u32),
+                        &base.files[edited],
+                        &mut SimulatedLlm::with_seed(seed),
+                    ),
+                    &identify(&full, &mut SimulatedLlm::with_seed(seed)),
+                );
+                patches += 1;
+            }
+        }
+    }
+    assert!(patches > 100, "only {patches} corpus patches compiled");
 }
 
 // ---- Decoder totality ------------------------------------------------------

@@ -185,3 +185,73 @@ fn repair_fixes_amp_seeds_and_leaves_decoys_byte_identical() {
         }
     }
 }
+
+/// A capped-by-rethrow fix breaks this loop's contract: the test asserts
+/// the value `run` returns when it gives up. `cap-rethrow` (W001's first
+/// template) makes the injected exception escape into the test, so its
+/// assertion fails; the rejection's trace steers the loop to `cap-break`,
+/// which falls through to the give-up return and validates.
+const GIVES_UP: &str = "\
+exception ConnectException;\n\
+class Stubborn {\n\
+  method op() throws ConnectException { return 7; }\n\
+  method run() {\n\
+    while (true) {\n\
+      try { return this.op(); } catch (ConnectException e) { log(\"retrying\"); sleep(10); }\n\
+    }\n\
+    return \"gave-up\";\n\
+  }\n\
+  test tGivesUp() {\n\
+    var got = null;\n\
+    try { got = this.run(); } catch (ConnectException e) { got = \"threw\"; }\n\
+    assert(got != \"threw\", \"run gives up with a value\");\n\
+  }\n\
+}\n";
+
+#[test]
+fn rejected_candidate_falls_back_to_the_next_template_from_the_accepted_sources() {
+    use wasabi::analysis::checkers::{lint_project, LintOptions};
+    use wasabi::analysis::patchsite::patch_site_for;
+    use wasabi::lang::project::Project;
+    use wasabi::repair::{repair, synthesize, templates_for, RepairOptions, Template};
+
+    let sources = vec![("Stubborn.jav".to_string(), GIVES_UP.to_string())];
+    let outcome = repair("gives-up", sources.clone(), &RepairOptions::default()).expect("repair");
+    assert_eq!(outcome.targets.len(), 1, "one W001 target: {:?}", outcome.targets);
+    let target = &outcome.targets[0];
+    assert_eq!(target.code, "W001");
+    assert_eq!(
+        templates_for("W001").first(),
+        Some(&Template::CapRethrow),
+        "cap-rethrow is tried first"
+    );
+    assert_eq!(target.attempts, 2, "{:?}", target.tried);
+    assert_eq!(target.tried.len(), 2, "{:?}", target.tried);
+    assert_eq!(target.tried[0].template, "cap-rethrow");
+    assert!(!target.tried[0].accepted, "{:?}", target.tried[0]);
+    assert!(
+        target.tried[0].reason.to_lowercase().contains("assert"),
+        "rejected for the failed assertion: {}",
+        target.tried[0].reason
+    );
+    assert_eq!(target.tried[1].template, "cap-break");
+    assert!(target.tried[1].accepted, "{:?}", target.tried[1]);
+    assert!(target.fixed, "{}", target.reason);
+
+    // The accepted candidate was built from the original sources, not
+    // from the rejected one: the final text is exactly cap-break applied
+    // to the input.
+    let project = Project::compile("gives-up", sources).expect("compile");
+    let options = LintOptions::default();
+    let lint = lint_project(&project, &options);
+    let diag = lint
+        .diagnostics
+        .iter()
+        .find(|d| d.code == "W001")
+        .expect("W001 before repair");
+    let site = patch_site_for(&project, diag, &options.loops).expect("patch site");
+    let expected = synthesize(Template::CapBreak, &project, &site, None).expect("cap-break");
+    assert_eq!(outcome.sources.len(), 1);
+    assert_eq!(outcome.sources[0].1, expected.source);
+    assert!(!outcome.sources[0].1.contains("throw e"), "{}", outcome.sources[0].1);
+}
