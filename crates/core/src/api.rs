@@ -5,10 +5,11 @@
 //! the CLI binary:
 //!
 //! - [`compile_app`] is the *cacheable* unit: source → compiled
-//!   [`Project`] (interned symbols, `Arc<ProgramIndex>`) → [`identify`]
-//!   pass. Everything downstream is a pure function of its output plus
-//!   run options, which is what lets the daemon key an LRU cache on
-//!   [`source_digest`] and skip compilation for repeat submissions.
+//!   [`Project`] (interned symbols, `Arc<ProgramIndex>`) →
+//!   [`identify`](crate::identify::identify) pass. Everything downstream
+//!   is a pure function of its output plus run options, which is what
+//!   lets the daemon key an LRU cache on [`source_digest`] and skip
+//!   compilation for repeat submissions.
 //! - [`run_app_job`] runs the dynamic workflow on a compiled job. The
 //!   engine's determinism contract makes the result independent of the
 //!   worker count, so cached and fresh submissions judge identically.
@@ -17,11 +18,12 @@
 //!   values, resume, and batch vs. daemon execution.
 
 use crate::dynamic::{run_dynamic_with_observer, DynamicOptions, DynamicResult};
-use crate::identify::{identify, Identified};
+use crate::identify::{identify_with_sweep, Identified};
 use wasabi_engine::journal;
 use wasabi_engine::observer::EngineObserver;
 use wasabi_lang::error::Diagnostic;
 use wasabi_lang::project::Project;
+use wasabi_llm::detector::sweep_sources;
 use wasabi_llm::simulated::SimulatedLlm;
 use wasabi_util::rng::fnv1a64;
 use wasabi_util::Json;
@@ -63,15 +65,25 @@ pub fn source_digest(name: &str, sources: &[(String, String)]) -> u64 {
 /// Compiles `sources` and runs the identification pass — the expensive,
 /// cacheable front half of the pipeline. `llm_seed` seeds the simulated
 /// LLM (the CLI uses 0).
+///
+/// The digest and the LLM sweep read only the raw sources, so they run on
+/// one helper thread while this thread parses and links
+/// ([`Project::compile_beside`]); the static query then merges the
+/// finished sweep. The result equals [`source_digest`], then
+/// [`Project::compile`], then [`identify`](crate::identify::identify), run
+/// one after another.
 pub fn compile_app(
     name: &str,
     sources: Vec<(String, String)>,
     llm_seed: u64,
 ) -> Result<AppJob, Vec<Diagnostic>> {
-    let digest = source_digest(name, &sources);
-    let project = Project::compile(name, sources)?;
-    let mut llm = SimulatedLlm::with_seed(llm_seed);
-    let identified = identify(&project, &mut llm);
+    let (project, (digest, llm_sweep)) = Project::compile_beside(name, sources, |sources| {
+        let digest = source_digest(name, sources);
+        let sweep = sweep_sources(sources, &mut SimulatedLlm::with_seed(llm_seed));
+        (digest, sweep)
+    });
+    let project = project?;
+    let identified = identify_with_sweep(&project, llm_sweep);
     Ok(AppJob {
         name: name.to_string(),
         digest,

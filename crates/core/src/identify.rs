@@ -27,8 +27,14 @@ pub struct Identified {
 
 /// Runs both identification techniques and merges their locations.
 pub fn identify(project: &Project, llm: &mut dyn LanguageModel) -> Identified {
-    let query = StaticQuery::run(project);
-    query.merge(sweep_project(project, llm))
+    identify_with_sweep(project, sweep_project(project, llm))
+}
+
+/// [`identify`] with the LLM sweep of `project` already done, for example
+/// by [`sweep_sources`](wasabi_llm::detector::sweep_sources) beside the
+/// compile: runs the control-flow query and merges the sweep into it.
+pub fn identify_with_sweep(project: &Project, llm_sweep: LlmSweep) -> Identified {
+    StaticQuery::run(project).merge(llm_sweep)
 }
 
 /// Re-identifies after one file changed. `project` is the project

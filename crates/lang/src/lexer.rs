@@ -52,6 +52,9 @@ impl<'a> Lexer<'a> {
         c
     }
 
+    /// Skips whitespace and comments. A comment is skipped with one
+    /// search for its end (`\n` or `*/`), not byte by byte: most of a
+    /// corpus's bytes are comment lines.
     fn skip_trivia(&mut self) -> Result<(), Diagnostic> {
         loop {
             match self.peek() {
@@ -59,25 +62,21 @@ impl<'a> Lexer<'a> {
                     self.pos += 1;
                 }
                 b'/' if self.peek2() == b'/' => {
-                    while self.pos < self.src.len() && self.peek() != b'\n' {
-                        self.pos += 1;
-                    }
+                    // Stops at the newline, which the next turn skips.
+                    let body = &self.src[self.pos + 2..];
+                    self.pos += 2 + body.find('\n').unwrap_or(body.len());
                 }
                 b'/' if self.peek2() == b'*' => {
                     let start = self.pos;
-                    self.pos += 2;
-                    loop {
-                        if self.pos >= self.src.len() {
+                    match self.src[start + 2..].find("*/") {
+                        Some(end) => self.pos = start + 2 + end + 2,
+                        None => {
+                            self.pos = self.src.len();
                             return Err(Diagnostic::new(
                                 Span::new(start as u32, self.pos as u32),
                                 "unterminated block comment",
                             ));
                         }
-                        if self.peek() == b'*' && self.peek2() == b'/' {
-                            self.pos += 2;
-                            break;
-                        }
-                        self.pos += 1;
                     }
                 }
                 _ => return Ok(()),
@@ -368,6 +367,120 @@ mod tests {
     #[test]
     fn rejects_unterminated_block_comment() {
         assert!(Lexer::tokenize("/* abc").is_err());
+    }
+
+    #[test]
+    fn line_comment_at_eof_without_newline() {
+        let toks = Lexer::tokenize("a // retry").unwrap();
+        assert_eq!(toks.len(), 2);
+        assert_eq!(toks[1].kind, TokenKind::Eof);
+        assert_eq!(toks[1].span, Span::new(10, 10));
+    }
+
+    #[test]
+    fn block_comment_edges() {
+        // `/*/` does not close itself: the `*` is shared with the opener.
+        let err = Lexer::tokenize("/*/").unwrap_err();
+        assert_eq!(err.span, Span::new(0, 3));
+        let toks = Lexer::tokenize("/**/x").unwrap();
+        assert_eq!(toks[0].kind, TokenKind::Ident("x".into()));
+        assert_eq!(toks[0].span, Span::new(4, 5));
+        let toks = Lexer::tokenize("/* */ x;").unwrap();
+        assert_eq!(toks[0].span, Span::new(6, 7));
+        assert_eq!(toks[1].kind, TokenKind::Semi);
+    }
+
+    #[test]
+    fn unterminated_block_comment_spans_to_the_end() {
+        let err = Lexer::tokenize("ab /* c\n d").unwrap_err();
+        assert_eq!(err.span, Span::new(3, 10));
+        assert_eq!(err.message, "unterminated block comment");
+    }
+
+    /// The byte-at-a-time comment skipper `skip_trivia` replaced, kept as
+    /// the reference it must agree with.
+    fn skip_trivia_bytewise(lexer: &mut Lexer) -> Result<(), Diagnostic> {
+        loop {
+            match lexer.peek() {
+                b' ' | b'\t' | b'\r' | b'\n' => {
+                    lexer.pos += 1;
+                }
+                b'/' if lexer.peek2() == b'/' => {
+                    while lexer.pos < lexer.src.len() && lexer.peek() != b'\n' {
+                        lexer.pos += 1;
+                    }
+                }
+                b'/' if lexer.peek2() == b'*' => {
+                    let start = lexer.pos;
+                    lexer.pos += 2;
+                    loop {
+                        if lexer.pos >= lexer.src.len() {
+                            return Err(Diagnostic::new(
+                                Span::new(start as u32, lexer.pos as u32),
+                                "unterminated block comment",
+                            ));
+                        }
+                        if lexer.peek() == b'*' && lexer.peek2() == b'/' {
+                            lexer.pos += 2;
+                            break;
+                        }
+                        lexer.pos += 1;
+                    }
+                }
+                _ => return Ok(()),
+            }
+        }
+    }
+
+    #[test]
+    fn skip_trivia_matches_the_bytewise_reference() {
+        // Random texts dense in comment delimiters, from every start
+        // position: both skippers must stop at the same byte with the
+        // same result.
+        const PIECES: &[&str] = &[
+            "/", "*", "//", "/*", "*/", "\n", " ", "\t", "\r", "a", "é", "→", "\"", ";",
+        ];
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..2000 {
+            let len = next() % 24;
+            let text: String = (0..len)
+                .map(|_| PIECES[(next() % PIECES.len() as u64) as usize])
+                .collect();
+            for pos in (0..=text.len()).filter(|&p| text.is_char_boundary(p)) {
+                let mut fast = Lexer { src: &text, pos };
+                let mut slow = Lexer { src: &text, pos };
+                let got = fast.skip_trivia();
+                let want = skip_trivia_bytewise(&mut slow);
+                assert_eq!(got, want, "{text:?} from {pos}");
+                if want.is_ok() {
+                    assert_eq!(fast.pos, slow.pos, "{text:?} from {pos}");
+                }
+            }
+            assert_eq!(Lexer::tokenize(&text), tokenize_bytewise(&text), "{text:?}");
+        }
+    }
+
+    /// [`Lexer::tokenize`] driven by the reference skipper.
+    fn tokenize_bytewise(src: &str) -> Result<Vec<Token>, Diagnostic> {
+        let mut lexer = Lexer::new(src);
+        let mut tokens = Vec::new();
+        loop {
+            skip_trivia_bytewise(&mut lexer)?;
+            let tok = lexer.next_token()?;
+            let done = tok.kind == TokenKind::Eof;
+            tokens.push(tok);
+            if done {
+                return Ok(tokens);
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@ use crate::parser::parse_file;
 use crate::span::{LineMap, Span};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::panic::resume_unwind;
+use std::sync::{Arc, Mutex};
 
 /// Index of a source file within a [`Project`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -212,18 +213,66 @@ impl Project {
         name: impl Into<String>,
         sources: Vec<(impl Into<String>, impl Into<String>)>,
     ) -> Result<Project, Vec<Diagnostic>> {
-        let mut files = Vec::new();
+        let sources = sources
+            .into_iter()
+            .map(|(path, source)| (path.into(), source.into()))
+            .collect();
+        Project::compile_with(name.into(), sources, None::<fn(&[(String, String)])>).0
+    }
+
+    /// [`Project::compile`] with `side` run on a second thread over the
+    /// same sources while they parse on this one: work that reads only
+    /// the raw `(path, source)` pairs, such as a digest or an LLM sweep,
+    /// overlaps the parse instead of following it. The project (or
+    /// diagnostics) equals what [`Project::compile`] returns, and `side`
+    /// sees the sources in input order whether or not they compile.
+    ///
+    /// If no thread can be spawned, `side` runs on this thread after the
+    /// parse. If `side` panics, the panic resumes here once the parse is
+    /// done.
+    pub fn compile_beside<R: Send>(
+        name: impl Into<String>,
+        sources: Vec<(String, String)>,
+        side: impl FnOnce(&[(String, String)]) -> R + Send,
+    ) -> (Result<Project, Vec<Diagnostic>>, R) {
+        let (project, side) = Project::compile_with(name.into(), sources, Some(side));
+        (project, side.expect("side work ran"))
+    }
+
+    /// The one parse loop: parses every source by reference (running
+    /// `side` beside it, if given), then moves each source into its
+    /// [`SourceFile`] and links.
+    fn compile_with<R: Send>(
+        name: String,
+        sources: Vec<(String, String)>,
+        side: Option<impl FnOnce(&[(String, String)]) -> R + Send>,
+    ) -> (Result<Project, Vec<Diagnostic>>, Option<R>) {
+        let parse_all = || -> Vec<_> {
+            sources
+                .iter()
+                .map(|(_, source)| parse_file(source))
+                .collect()
+        };
+        let (parsed, side) = match side {
+            None => (parse_all(), None),
+            Some(side) => {
+                let helper = std::thread::Builder::new().name("compile-side".to_string());
+                let (parsed, side) = run_beside(helper, parse_all, || side(&sources));
+                (parsed, Some(side))
+            }
+        };
+        let mut files = Vec::with_capacity(sources.len());
         let mut errors = Vec::new();
-        for (path, source) in sources {
-            match parse_source(path.into(), source.into()) {
+        for ((path, source), parsed) in sources.into_iter().zip(parsed) {
+            match source_file(path, source, parsed) {
                 Ok(file) => files.push(Arc::new(file)),
                 Err(err) => errors.push(err),
             }
         }
         if !errors.is_empty() {
-            return Err(errors);
+            return (Err(errors), side);
         }
-        Project::link(name.into(), files)
+        (Project::link(name, files), side)
     }
 
     /// This project with the file at `path` replaced by `source`: the one
@@ -243,7 +292,9 @@ impl Project {
             )
             .with_path(path)]);
         };
-        let file = parse_source(path.to_string(), source.into()).map_err(|err| vec![err])?;
+        let source = source.into();
+        let parsed = parse_file(&source);
+        let file = source_file(path.to_string(), source, parsed).map_err(|err| vec![err])?;
         let mut files = self.files.clone();
         files[at] = Arc::new(file);
         Project::link(self.name.clone(), files)
@@ -401,9 +452,41 @@ impl Project {
     }
 }
 
-/// Parses one file; a parse error carries the file's path.
-fn parse_source(path: String, source: String) -> Result<SourceFile, Diagnostic> {
-    match parse_file(&source) {
+/// Runs `here` on this thread while `there` runs on a thread spawned from
+/// `helper`, and returns both results. If the spawn fails, `there` runs
+/// here after `here`; if `there` panics, its panic resumes here.
+fn run_beside<A, R: Send>(
+    helper: std::thread::Builder,
+    here: impl FnOnce() -> A,
+    there: impl FnOnce() -> R + Send,
+) -> (A, R) {
+    // The helper takes `there` out of the slot, so a failed spawn leaves
+    // it behind to run inline.
+    let slot = Mutex::new(Some(there));
+    let take = || {
+        slot.lock()
+            .expect("side slot")
+            .take()
+            .expect("side work runs once")
+    };
+    std::thread::scope(|scope| {
+        let spawned = helper.spawn_scoped(scope, || take()());
+        let mine = here();
+        let theirs = match spawned {
+            Ok(handle) => handle.join().unwrap_or_else(|panic| resume_unwind(panic)),
+            Err(_) => take()(),
+        };
+        (mine, theirs)
+    })
+}
+
+/// One file with its parse result; a parse error carries the file's path.
+fn source_file(
+    path: String,
+    source: String,
+    parsed: Result<Vec<Item>, Diagnostic>,
+) -> Result<SourceFile, Diagnostic> {
+    match parsed {
         Ok(items) => Ok(SourceFile {
             path,
             source,
@@ -647,6 +730,67 @@ mod tests {
         assert_eq!(err[0].path, "a.jav");
         let err = base.with_file_replaced("nope.jav", "").unwrap_err();
         assert!(err[0].message.contains("no file `nope.jav`"));
+    }
+
+    fn owned(sources: &[(&str, &str)]) -> Vec<(String, String)> {
+        sources
+            .iter()
+            .map(|(p, s)| (p.to_string(), s.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn compiling_beside_side_work_equals_compiling_alone() {
+        let good = owned(&[
+            ("e.jav", "exception E;"),
+            ("a.jav", "class A { method m() throws E { } }"),
+        ]);
+        let bad = owned(&[
+            ("a.jav", "class {"),
+            ("b.jav", "class B extends Missing { }"),
+            ("c.jav", "class"),
+        ]);
+        for sources in [good, bad] {
+            let (project, seen) =
+                Project::compile_beside("t", sources.clone(), |side| side.to_vec());
+            assert_eq!(seen, sources, "side work sees every source, in order");
+            let alone = Project::compile("t", sources);
+            match (project, alone) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.files, b.files);
+                    assert_eq!(a.symbols, b.symbols);
+                    assert_eq!(a.index, b.index);
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a, b);
+                    assert_eq!(a.len(), 2, "both parse errors, in file order");
+                }
+                (a, b) => panic!("beside {:?} vs alone {:?}", a.is_ok(), b.is_ok()),
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_in_side_work_resumes_on_the_caller() {
+        let sources = owned(&[("a.jav", "class A { }")]);
+        let caught = std::panic::catch_unwind(|| {
+            Project::compile_beside("t", sources, |_| -> () { std::panic::panic_any(42_u32) })
+        })
+        .unwrap_err();
+        assert_eq!(caught.downcast_ref::<u32>(), Some(&42));
+    }
+
+    #[test]
+    fn side_work_runs_inline_when_no_thread_can_be_spawned() {
+        // No stack this large can be mapped, so the spawn fails and
+        // starts nothing.
+        let unspawnable = std::thread::Builder::new().stack_size(usize::MAX >> 4);
+        let here = std::thread::current().id();
+        let (mine, theirs) = run_beside(unspawnable, || 1, || std::thread::current().id());
+        assert_eq!((mine, theirs), (1, here));
+        let spawnable = std::thread::Builder::new();
+        let (_, theirs) = run_beside(spawnable, || 1, || std::thread::current().id());
+        assert_ne!(theirs, here);
     }
 
     #[test]

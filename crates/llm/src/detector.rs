@@ -6,10 +6,12 @@
 //! file answering No to Q2 yields a missing-delay finding; No to Q3 yields a
 //! missing-cap finding.
 //!
-//! [`sweep_file`] is the per-file workflow and [`sweep_project`] runs it
-//! over every file. [`LlmSweep::replace_file`] swaps one file's answers in
-//! a finished sweep, which is how repair revalidates a one-file patch
-//! without re-asking about the other files.
+//! The workflow reads only a file's path and text. [`sweep_file`] runs it
+//! on one file, [`sweep_project`] over every file of a compiled project,
+//! and [`sweep_sources`] over raw `(path, source)` pairs, which lets the
+//! sweep run beside the compile. [`LlmSweep::replace_file`] swaps one
+//! file's answers in a finished sweep, which is how repair revalidates a
+//! one-file patch without re-asking about the other files.
 
 use crate::model::{LanguageModel, Usage};
 use crate::prompts;
@@ -116,12 +118,39 @@ fn file_range<T>(items: &[T], file: FileId, key: impl Fn(&T) -> FileId) -> std::
 
 /// Runs the full LLM static-checking workflow over every file.
 pub fn sweep_project(project: &Project, llm: &mut dyn LanguageModel) -> LlmSweep {
+    sweep_files(
+        project
+            .files
+            .iter()
+            .map(|f| (f.path.as_str(), f.source.as_str())),
+        llm,
+    )
+}
+
+/// Runs the workflow over raw `(path, source)` pairs, numbering files by
+/// their input index. The questions read only a file's path and text, so
+/// this equals [`sweep_project`] on the project these sources compile to
+/// (a compiled project keeps its files in input order), usage included.
+/// It needs no parse, so it can run while the sources compile.
+pub fn sweep_sources(sources: &[(String, String)], llm: &mut dyn LanguageModel) -> LlmSweep {
+    sweep_files(sources.iter().map(|(p, s)| (p.as_str(), s.as_str())), llm)
+}
+
+/// The workflow over `(path, source)` files in file-id order.
+fn sweep_files<'a>(
+    files: impl Iterator<Item = (&'a str, &'a str)>,
+    llm: &mut dyn LanguageModel,
+) -> LlmSweep {
     let usage_before = llm.usage();
     let mut sweep = LlmSweep::default();
-    for (fidx, file) in project.files.iter().enumerate() {
-        sweep
-            .retry_files
-            .extend(ask_file(FileId(fidx as u32), file, llm, &mut sweep.findings));
+    for (fidx, (path, source)) in files.enumerate() {
+        sweep.retry_files.extend(ask_file(
+            FileId(fidx as u32),
+            path,
+            source,
+            llm,
+            &mut sweep.findings,
+        ));
     }
     sweep.usage = llm.usage().since(&usage_before);
     sweep
@@ -131,7 +160,7 @@ pub fn sweep_project(project: &Project, llm: &mut dyn LanguageModel) -> LlmSweep
 pub fn sweep_file(file_id: FileId, file: &SourceFile, llm: &mut dyn LanguageModel) -> FileSweep {
     let usage_before = llm.usage();
     let mut findings = Vec::new();
-    let report = ask_file(file_id, file, llm, &mut findings);
+    let report = ask_file(file_id, &file.path, &file.source, llm, &mut findings);
     FileSweep {
         file: file_id,
         report,
@@ -145,21 +174,20 @@ pub fn sweep_file(file_id: FileId, file: &SourceFile, llm: &mut dyn LanguageMode
 /// onto `findings`.
 fn ask_file(
     file_id: FileId,
-    file: &SourceFile,
+    path: &str,
+    source: &str,
     llm: &mut dyn LanguageModel,
     findings: &mut Vec<LlmWhenFinding>,
 ) -> Option<FileReport> {
-    let q1 = prompts::q1_performs_retry(&file.path, &file.source);
+    let q1 = prompts::q1_performs_retry(path, source);
     if !llm.ask_yes_no(&q1).is_yes() {
         return None;
     }
-    let poll_excluded = llm
-        .ask_yes_no(&prompts::q4_poll_or_spin(&file.path))
-        .is_yes();
+    let poll_excluded = llm.ask_yes_no(&prompts::q4_poll_or_spin(path)).is_yes();
     if poll_excluded {
         return Some(FileReport {
             file: file_id,
-            path: file.path.clone(),
+            path: path.to_string(),
             performs_retry: true,
             poll_excluded: true,
             retry_methods: Vec::new(),
@@ -167,21 +195,21 @@ fn ask_file(
             has_cap: false,
         });
     }
-    let mut retry_methods = llm.ask_methods(&prompts::q1_which_methods(&file.path));
+    let mut retry_methods = llm.ask_methods(&prompts::q1_which_methods(path));
     if retry_methods.is_empty() {
         // The model said "this file performs retry" but could not name a
         // method — attribute the finding to the file as a whole.
-        retry_methods.push(format!("<file:{}>", file.path));
+        retry_methods.push(format!("<file:{path}>"));
     }
     let sleeps = llm
-        .ask_yes_no(&prompts::q2_sleeps_before_retry(&file.path))
+        .ask_yes_no(&prompts::q2_sleeps_before_retry(path))
         .is_yes();
-    let has_cap = llm.ask_yes_no(&prompts::q3_has_cap(&file.path)).is_yes();
+    let has_cap = llm.ask_yes_no(&prompts::q3_has_cap(path)).is_yes();
     for method in &retry_methods {
         if !sleeps {
             findings.push(LlmWhenFinding {
                 file: file_id,
-                path: file.path.clone(),
+                path: path.to_string(),
                 method: method.clone(),
                 kind: LlmWhenKind::MissingDelay,
             });
@@ -189,7 +217,7 @@ fn ask_file(
         if !has_cap {
             findings.push(LlmWhenFinding {
                 file: file_id,
-                path: file.path.clone(),
+                path: path.to_string(),
                 method: method.clone(),
                 kind: LlmWhenKind::MissingCap,
             });
@@ -197,7 +225,7 @@ fn ask_file(
     }
     Some(FileReport {
         file: file_id,
-        path: file.path.clone(),
+        path: path.to_string(),
         performs_retry: true,
         poll_excluded: false,
         retry_methods,
@@ -325,6 +353,28 @@ mod tests {
             assert_eq!(sweep, sweep_project(&edited, &mut SimulatedLlm::with_seed(3)));
             current = edited;
         }
+    }
+
+    #[test]
+    fn sweeping_raw_sources_equals_sweeping_the_compiled_project() {
+        let sources: Vec<(String, String)> = vec![
+            ("a.jav".into(), retry_file(false, false)),
+            (
+                "b.jav".into(),
+                "class Plain { method add(a, b) { return a + b; } }".into(),
+            ),
+            (
+                "c.jav".into(),
+                retry_file(true, false)
+                    .replace("exception ConnectException;", "")
+                    .replace("Client", "C"),
+            ),
+        ];
+        let p = Project::compile("t", sources.clone()).expect("compile");
+        let raw = sweep_sources(&sources, &mut SimulatedLlm::with_seed(5));
+        assert_eq!(raw, sweep_project(&p, &mut SimulatedLlm::with_seed(5)));
+        assert_eq!(raw.retry_files[1].file, FileId(2), "ids are input indices");
+        assert!(raw.usage.calls > 3);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 #      targets: the workspace is lint-clean and stays that way.
 #   2. all-features: compile check with every optional feature enabled
 #      (json-reports, proptest-suite) plus the
-#      feature-gated test suites, so gated code can never rot.
+#      feature-gated test suites, so gated code can never rot, and
+#      `cargo clippy --workspace --all-targets --all-features -- -D warnings`
+#      so the gated code is lint-clean too.
 #   3. resilience smoke: a chaos campaign (10% injected run panics,
 #      --jobs 4) must report byte-identically to the serial run, a
 #      kill-and-resume round-trip (journal cut mid-line, then --resume)
@@ -75,6 +77,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== stage 2: all features =="
 cargo build --all-features
 cargo test -q --workspace --all-features
+cargo clippy --workspace --all-targets --all-features -- -D warnings
 
 echo "== stage 3: resilience smoke =="
 cargo xtask smoke

@@ -31,7 +31,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use wasabi::analysis::checkers::LintOptions;
+use wasabi::analysis::checkers::{lint_project, LintOptions};
 use wasabi::analysis::ifratio::{if_ratio_reports, IfOptions};
 use wasabi::analysis::loops::{all_retry_locations, LoopQueryOptions};
 use wasabi::analysis::resolve::ProjectIndex;
@@ -590,13 +590,11 @@ fn test(project: &Project, json: bool, flags: &CampaignFlags) -> ExitCode {
     // static checkers against the LLM sweep and let disagreement-tier
     // methods probe first. Pure scheduling — the executed run set and the
     // report bytes are unchanged.
+    // The identify pass already swept every file with the same model, so
+    // the arbitration reuses its sweep instead of asking again.
     let disagreement_hints = if flags.adaptive {
-        let lint_report = lint_with_overlap(
-            project,
-            &mut SimulatedLlm::with_seed(0),
-            &LintOptions::default(),
-        );
-        cross_check(&lint_report.lint, &lint_report.sweep).disagreement_methods()
+        let lint = lint_project(project, &LintOptions::default());
+        cross_check(&lint, &identified.llm_sweep).disagreement_methods()
     } else {
         BTreeSet::new()
     };

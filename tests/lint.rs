@@ -217,6 +217,33 @@ fn cross_check_matrix_is_byte_identical_across_jobs() {
     assert_eq!(serial, render(1), "consecutive runs");
 }
 
+/// `wasabi test --adaptive` takes its disagreement hints from the identify
+/// pass's sweep instead of sweeping again through `lint_with_overlap`:
+/// both ways give the same hints, on every corpus app with its amp seeds.
+#[test]
+fn adaptive_hints_from_the_identify_sweep_equal_a_fresh_sweep() {
+    use wasabi::core::identify::identify;
+
+    for spec in paper_apps() {
+        let project = compile_app(&generate_app_with_amp(&spec, Scale::Small));
+        let identified = identify(&project, &mut SimulatedLlm::with_seed(0));
+        let lint = lint_project(&project, &LintOptions::default());
+        let reused = cross_check(&lint, &identified.llm_sweep).disagreement_methods();
+        let report = lint_with_overlap(
+            &project,
+            &mut SimulatedLlm::with_seed(0),
+            &LintOptions::default(),
+        );
+        let fresh = cross_check(&report.lint, &report.sweep).disagreement_methods();
+        assert!(
+            !fresh.is_empty(),
+            "{}: the hints are not vacuous",
+            spec.short
+        );
+        assert_eq!(reused, fresh, "{}", spec.short);
+    }
+}
+
 /// Exceptional-edge invariants hold for every method of a generated
 /// application: successor edges stay in bounds and every catch entry has a
 /// predecessor and is reachable from its method's entry.

@@ -1,5 +1,6 @@
 //! Randomized property tests over the language front end, the CFG, the
-//! planner, incremental recompilation, and the wire and disk decoders, driven by the in-repo seeded
+//! planner, incremental recompilation, the overlapped `compile_app`, and
+//! the wire and disk decoders, driven by the in-repo seeded
 //! PRNG (`wasabi::util::Rng`) so the suite needs no external framework
 //! and every failure is reproducible from the printed seed.
 //!
@@ -1258,7 +1259,8 @@ fn gen_llm_file(rng: &mut Rng) -> String {
     let len = rng.below(40) as usize;
     let mut text = String::new();
     for _ in 0..len {
-        text.push_str(*rng.pick(FRAGMENTS));
+        let fragment = rng.pick(FRAGMENTS);
+        text.push_str(fragment);
         if rng.chance(0.7) {
             text.push(' ');
         }
@@ -1452,6 +1454,34 @@ fn gen_incr_edit(rng: &mut Rng, i: usize, n: usize) -> String {
     gen_incr_file(rng, i, n, shape)
 }
 
+/// Two compile results agree: the same diagnostics in the same order, or
+/// the same files, symbols and index.
+fn assert_same_result(
+    label: &str,
+    got: &Result<wasabi::lang::project::Project, Vec<wasabi::lang::error::Diagnostic>>,
+    want: &Result<wasabi::lang::project::Project, Vec<wasabi::lang::error::Diagnostic>>,
+) {
+    match (got, want) {
+        (Err(got), Err(want)) => assert_eq!(got, want, "{label}: diagnostics"),
+        (Ok(got), Ok(want)) => {
+            assert_eq!(got.name, want.name, "{label}: name");
+            assert_eq!(got.files.len(), want.files.len(), "{label}: file count");
+            for (f, (a, b)) in got.files.iter().zip(&want.files).enumerate() {
+                assert_eq!(a.path, b.path, "{label}: file {f} path");
+                assert_eq!(a.source, b.source, "{label}: file {f} source");
+                assert!(a.items == b.items, "{label}: file {f} items");
+            }
+            assert!(got.symbols == want.symbols, "{label}: symbols");
+            assert!(*got.index == *want.index, "{label}: index tables");
+        }
+        (got, want) => panic!(
+            "{label}: got a compile that {} but expected one that {}",
+            if got.is_ok() { "succeeds" } else { "fails" },
+            if want.is_ok() { "succeeds" } else { "fails" },
+        ),
+    }
+}
+
 /// `incremental` (from [`Project::with_file_replaced`] on `base`) equals
 /// `full` (a compile of the patched sources): the same errors, or the same
 /// files, symbols and index, with every file but `edited` shared with
@@ -1463,29 +1493,15 @@ fn assert_same_compile(
     incremental: &Result<wasabi::lang::project::Project, Vec<wasabi::lang::error::Diagnostic>>,
     full: &Result<wasabi::lang::project::Project, Vec<wasabi::lang::error::Diagnostic>>,
 ) {
-    match (incremental, full) {
-        (Err(inc), Err(full)) => assert_eq!(inc, full, "{label}: diagnostics"),
-        (Ok(inc), Ok(full)) => {
-            assert_eq!(inc.name, full.name, "{label}: name");
-            assert_eq!(inc.files.len(), full.files.len(), "{label}: file count");
-            for (f, (a, b)) in inc.files.iter().zip(&full.files).enumerate() {
-                assert_eq!(a.path, b.path, "{label}: file {f} path");
-                assert_eq!(a.source, b.source, "{label}: file {f} source");
-                assert!(a.items == b.items, "{label}: file {f} items");
-                assert_eq!(
-                    f != edited,
-                    std::sync::Arc::ptr_eq(a, &base.files[f]),
-                    "{label}: file {f} shared iff not edited"
-                );
-            }
-            assert!(inc.symbols == full.symbols, "{label}: symbols");
-            assert!(*inc.index == *full.index, "{label}: index tables");
+    assert_same_result(label, incremental, full);
+    if let Ok(inc) = incremental {
+        for (f, file) in inc.files.iter().enumerate() {
+            assert_eq!(
+                f != edited,
+                std::sync::Arc::ptr_eq(file, &base.files[f]),
+                "{label}: file {f} shared iff not edited"
+            );
         }
-        (inc, full) => panic!(
-            "{label}: incremental {} but full compile {}",
-            if inc.is_ok() { "compiles" } else { "fails" },
-            if full.is_ok() { "compiles" } else { "fails" },
-        ),
     }
 }
 
@@ -1645,6 +1661,106 @@ fn repair_patches_match_full_recompile_on_corpus() {
         }
     }
     assert!(patches > 100, "only {patches} corpus patches compiled");
+}
+
+// ---- Overlapped front end ---------------------------------------------------
+
+/// `compile_app`, which digests and sweeps the raw sources on a helper
+/// thread while this one parses and links, equals the serial composition
+/// `source_digest`, `Project::compile`, `identify`: the same diagnostics,
+/// or the same digest, project and identification. Returns the overlapped
+/// result.
+fn assert_overlap_matches_serial(
+    label: &str,
+    name: &str,
+    sources: &[(String, String)],
+    seed: u64,
+) -> Result<wasabi::core::AppJob, Vec<wasabi::lang::error::Diagnostic>> {
+    use wasabi::core::{compile_app, identify, source_digest, SimulatedLlm};
+    use wasabi::lang::project::Project;
+
+    let overlapped = compile_app(name, sources.to_vec(), seed);
+    let serial = Project::compile(name, sources.to_vec());
+    let project = overlapped
+        .as_ref()
+        .map(|job| job.project.clone())
+        .map_err(Clone::clone);
+    assert_same_result(label, &project, &serial);
+    if let (Ok(job), Ok(serial)) = (&overlapped, serial) {
+        assert_eq!(job.name, name, "{label}: name");
+        assert_eq!(job.digest, source_digest(name, sources), "{label}: digest");
+        assert_same_identified(
+            label,
+            &job.identified,
+            &identify(&serial, &mut SimulatedLlm::with_seed(seed)),
+        );
+    }
+    overlapped
+}
+
+/// The overlapped `compile_app` equals the serial composition on random
+/// multi-file programs, including ones where a file fails to parse or the
+/// program fails to validate.
+#[test]
+fn overlapped_compile_app_matches_serial_composition() {
+    let (mut compiled, mut failed, mut swept) = (0usize, 0usize, 0usize);
+    for case in 0..150u64 {
+        let mut rng = Rng::new(0x0e71_a900 + case);
+        let seed = rng.below(1 << 16);
+        let n = rng.range(1, 6) as usize;
+        let mut sources: Vec<(String, String)> = (0..n)
+            .map(|i| {
+                (
+                    format!("f{i}.jav"),
+                    gen_incr_file(&mut rng, i, n, IncrShape::default()),
+                )
+            })
+            .collect();
+        if rng.chance(0.5) {
+            let broken = rng.below(n as u64) as usize;
+            sources[broken].1 = gen_incr_edit(&mut rng, broken, n);
+        }
+        let label = format!("[case {case}]");
+        match assert_overlap_matches_serial(&label, "overlap", &sources, seed) {
+            Ok(job) => {
+                compiled += 1;
+                swept += !job.identified.llm_sweep.retry_files.is_empty() as usize;
+            }
+            Err(_) => failed += 1,
+        }
+    }
+    // Not vacuous: both outcomes occur, and most compiled programs have
+    // files the sweep flags.
+    assert!(compiled > 60, "only {compiled} programs compiled");
+    assert!(failed > 30, "only {failed} programs failed to compile");
+    assert!(
+        swept > compiled / 2,
+        "only {swept} of {compiled} sweeps flagged a file"
+    );
+}
+
+/// The same agreement on the eight tiny-scale corpus apps with their
+/// amplification and policy seeds, at each app's LLM seed.
+#[test]
+fn overlapped_compile_app_matches_serial_composition_on_corpus() {
+    use wasabi::corpus::spec::{paper_apps, Scale};
+    use wasabi::corpus::synth::{append_policy_seeds, generate_app_with_amp};
+
+    for spec in paper_apps() {
+        let mut app = generate_app_with_amp(&spec, Scale::Tiny);
+        append_policy_seeds(&mut app);
+        let label = format!("[{}]", spec.short);
+        let job = assert_overlap_matches_serial(&label, app.spec.name, &app.files, app.spec.seed)
+            .expect("corpus compiles");
+        assert!(
+            job.identified.llm_sweep.usage.calls > 0,
+            "{label}: the sweep ran"
+        );
+        assert!(
+            !job.identified.locations.is_empty(),
+            "{label}: locations found"
+        );
+    }
 }
 
 // ---- Decoder totality ------------------------------------------------------
