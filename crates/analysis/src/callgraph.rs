@@ -1,5 +1,7 @@
-//! Deterministic whole-program call graph over the compile-once
-//! [`ProgramIndex`](wasabi_lang::index::ProgramIndex).
+//! Deterministic call graph over the compile-once
+//! [`ProgramIndex`](wasabi_lang::index::ProgramIndex), either whole-program
+//! ([`CallGraph::build`]) or demand-driven: only the methods reachable from
+//! a set of roots ([`CallGraph::from_roots`]).
 //!
 //! Calls are resolved through the same flattened dispatch tables the
 //! interpreter executes, so static reasoning and dynamic dispatch can no
@@ -23,6 +25,7 @@
 //! iteration escapes into results — so the graph is byte-stable across
 //! runs and worker counts.
 
+use crate::idx;
 use std::collections::HashMap;
 use wasabi_lang::index::{visit_exprs, ClassId, FieldInit, LExpr, LStmt, ProgramIndex, Slot};
 use wasabi_lang::intern::Symbol;
@@ -40,8 +43,10 @@ pub struct ResolvedCall {
     pub targets: Vec<u32>,
 }
 
-/// The whole-program call graph: per-method resolved call sites and the
-/// flattened callee adjacency used by SCC/fixpoint passes.
+/// The call graph: per-method resolved call sites and the flattened
+/// callee adjacency used by SCC/fixpoint passes. A graph built from roots
+/// ([`CallGraph::from_roots`]) resolves only the methods those roots reach;
+/// every other method keeps empty `calls` and `callees`.
 #[derive(Debug)]
 pub struct CallGraph {
     /// `calls[m]` — every call expression in method `m`, in lowering
@@ -49,48 +54,63 @@ pub struct CallGraph {
     pub calls: Vec<Vec<ResolvedCall>>,
     /// `callees[m]` — union of target sets of `calls[m]`, sorted, deduped.
     pub callees: Vec<Vec<u32>>,
+    /// `resolved[m]` — whether method `m`'s calls were resolved. The
+    /// resolved set is closed under `callees`.
+    pub resolved: Vec<bool>,
 }
 
 impl CallGraph {
-    /// Builds the call graph for a compiled project.
+    /// Builds the call graph for a compiled project: every method is a
+    /// root.
     pub fn build(project: &Project) -> CallGraph {
+        CallGraph::from_roots(project, 0..project.index.methods.len() as u32)
+    }
+
+    /// Builds the part of the call graph reachable from `roots`: a worklist
+    /// resolves a method's calls, then enqueues every target it has not
+    /// seen. A method's calls depend only on its own body and the
+    /// whole-program field typing, so each resolved method gets exactly
+    /// the calls [`CallGraph::build`] gives it.
+    pub fn from_roots(project: &Project, roots: impl IntoIterator<Item = u32>) -> CallGraph {
         let index = &project.index;
+        let n = index.methods.len();
+        // Field typing stays whole-program: a field's type depends on
+        // every assignment to it, wherever the assigning method lives.
         let field_types = infer_field_types(index);
-        let mut calls = Vec::with_capacity(index.methods.len());
-        let mut callees = Vec::with_capacity(index.methods.len());
-        for method in &index.methods {
-            let locals = infer_local_types(&method.body, method.params);
-            let resolver = CallResolver {
-                index,
-                field_types: &field_types,
-                locals: &locals,
-                owner: method.owner,
-            };
-            // Children before parents: a call nested in another call's
-            // receiver or arguments is listed first, in evaluation order.
-            let mut out = Vec::new();
-            visit_exprs(&method.body, &mut |expr| {
-                if let LExpr::Call {
-                    site, recv, method, ..
-                } = expr
-                {
-                    out.push(ResolvedCall {
-                        site: *site,
-                        method: *method,
-                        targets: resolver.resolve(recv.as_deref(), *method),
-                    });
-                }
-            });
+        let mut calls = vec![Vec::new(); n];
+        let mut callees = vec![Vec::new(); n];
+        let mut resolved = vec![false; n];
+        let mut worklist: Vec<u32> = Vec::new();
+        for root in roots {
+            if !std::mem::replace(&mut resolved[idx(root, "root method")], true) {
+                worklist.push(root);
+            }
+        }
+        // Methods are resolved in the order they are first reached, so
+        // with every method a root this is one pass in index order.
+        let mut next = 0;
+        while let Some(&m) = worklist.get(next) {
+            next += 1;
+            let out = resolve_calls(index, &field_types, m);
             let mut adjacent: Vec<u32> = out
                 .iter()
                 .flat_map(|c| c.targets.iter().copied())
                 .collect();
             adjacent.sort_unstable();
             adjacent.dedup();
-            calls.push(out);
-            callees.push(adjacent);
+            for &target in &adjacent {
+                if !std::mem::replace(&mut resolved[idx(target, "call target")], true) {
+                    worklist.push(target);
+                }
+            }
+            calls[idx(m, "method")] = out;
+            callees[idx(m, "method")] = adjacent;
         }
-        CallGraph { calls, callees }
+        CallGraph {
+            calls,
+            callees,
+            resolved,
+        }
     }
 
     /// Number of methods (nodes).
@@ -102,6 +122,38 @@ impl CallGraph {
     pub fn is_empty(&self) -> bool {
         self.callees.is_empty()
     }
+}
+
+/// Every call expression in method `m` with its may-targets. Children
+/// before parents: a call nested in another call's receiver or arguments
+/// is listed first, in evaluation order.
+fn resolve_calls(
+    index: &ProgramIndex,
+    field_types: &HashMap<(ClassId, Symbol), ClassId>,
+    m: u32,
+) -> Vec<ResolvedCall> {
+    let method = &index.methods[idx(m, "method")];
+    let locals = infer_local_types(&method.body, method.params);
+    let resolver = CallResolver {
+        index,
+        field_types,
+        locals: &locals,
+        owner: method.owner,
+    };
+    let mut out = Vec::new();
+    visit_exprs(&method.body, &mut |expr| {
+        if let LExpr::Call {
+            site, recv, method, ..
+        } = expr
+        {
+            out.push(ResolvedCall {
+                site: *site,
+                method: *method,
+                targets: resolver.resolve(recv.as_deref(), *method),
+            });
+        }
+    });
+    out
 }
 
 /// Flow-insensitive `(class, field) -> concrete class` typing: a field
@@ -310,24 +362,31 @@ impl<'a> CallResolver<'a> {
 pub struct Sccs {
     /// Components in reverse topological order; members sorted ascending.
     pub components: Vec<Vec<u32>>,
-    /// `component_of[m]` — index into `components` for method `m`.
+    /// `component_of[m]` — index into `components` for method `m`
+    /// (`u32::MAX` when no start reaches `m`).
     pub component_of: Vec<u32>,
 }
 
 /// Computes SCCs of `callees` (adjacency by method index).
 pub fn sccs(callees: &[Vec<u32>]) -> Sccs {
+    sccs_from(callees, 0..callees.len() as u32)
+}
+
+/// Computes the SCCs of the nodes reachable from `starts`. Every other
+/// node is in no component: its `component_of` entry is `u32::MAX`.
+pub fn sccs_from(callees: &[Vec<u32>], starts: impl IntoIterator<Item = u32>) -> Sccs {
     let n = callees.len();
     let mut index_of = vec![u32::MAX; n];
     let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<u32> = Vec::new();
     let mut components: Vec<Vec<u32>> = Vec::new();
-    let mut component_of = vec![0u32; n];
+    let mut component_of = vec![u32::MAX; n];
     let mut next_index = 0u32;
 
     // Explicit DFS frames: (node, next-child position).
     let mut frames: Vec<(u32, usize)> = Vec::new();
-    for start in 0..n as u32 {
+    for start in starts {
         if index_of[start as usize] != u32::MAX {
             continue;
         }

@@ -1,7 +1,9 @@
 //! Interprocedural lint checkers over retry loops.
 //!
-//! [`lint_project`] runs the retry-loop query, builds the dispatch-table
-//! call graph and per-method summaries, and reports through
+//! [`lint_project`] runs the retry-loop query and hands its loops to
+//! [`lint_with_loops`], which builds the dispatch-table call graph and the
+//! per-method summaries outward from the loops' coordinators (only what
+//! they reach is resolved and solved) and reports through
 //! [`diag`](crate::diag):
 //!
 //! - **W001 missing cap** — no comparison bounds the loop, either in its
@@ -43,11 +45,11 @@ use crate::callgraph::CallGraph;
 use crate::cfg::{Atom, Cfg};
 use crate::diag::{sort_diagnostics, Diagnostic, Severity};
 use crate::idx;
-use crate::ifratio::{if_ratio_reports, IfOptions, OutlierKind};
+use crate::ifratio::{if_ratio_reports_for, IfOptions, OutlierKind};
 use crate::lattice::{ExcLattice, Transience};
 use crate::loops::{find_retry_loops, LoopQueryOptions, RetryLoop};
-use crate::resolve::{LoopSite, ProjectIndex};
-use crate::summaries::{AttemptBound, MethodSummary, Summaries};
+use crate::resolve::{loop_site, LoopSite, ProjectIndex};
+use crate::summaries::{AttemptBound, Summaries};
 use crate::when::loop_has_cap;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use wasabi_lang::ast::{BinOp, Expr, Literal, Stmt};
@@ -107,27 +109,44 @@ pub struct LintResult {
 
 /// Runs every checker over the project and returns sorted diagnostics.
 pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
-    let pindex = ProjectIndex::build(project);
-    let retry_loops = find_retry_loops(&pindex, &options.loops);
-    let cg = CallGraph::build(project);
+    let retry_loops = find_retry_loops(&ProjectIndex::build(project), &options.loops);
+    lint_with_loops(project, &retry_loops, options)
+}
+
+/// [`lint_project`] over retry loops the caller already has: `retry_loops`
+/// must be what [`find_retry_loops`] returns for `project` under
+/// `options.loops`, for example a static identification pass's loops.
+///
+/// Calls are resolved and summaries solved only for the methods the loops'
+/// coordinators reach. That is exact: a summary depends only on its
+/// method's body and its callees' summaries, and every summary read below
+/// is of a coordinator's call target or of a unique-target chain from
+/// one, all inside the coordinators' callee closure.
+pub fn lint_with_loops(
+    project: &Project,
+    retry_loops: &[RetryLoop],
+    options: &LintOptions,
+) -> LintResult {
     let index = &project.index;
 
     // Coordinator method indices and local attempt bounds feed the
     // summary fixpoint (may-retry / attempt facts).
-    let mut loop_info: Vec<(usize, u32, AttemptBound)> = Vec::new(); // (loop idx, midx, bound)
+    // (loop idx, site, midx, bound)
+    let mut loop_info: Vec<(usize, LoopSite<'_>, u32, AttemptBound)> = Vec::new();
     let mut local_retry: Vec<(u32, AttemptBound)> = Vec::new();
     for (li, rl) in retry_loops.iter().enumerate() {
-        let Some(site) = find_site(&pindex, rl) else {
+        let Some(site) = loop_site(project, rl.file, rl.loop_id) else {
             continue;
         };
         let Some(midx) = method_index(index, &rl.coordinator.class, &rl.coordinator.name) else {
             continue;
         };
-        let bound = loop_bound(index, site);
-        loop_info.push((li, midx, bound));
+        let bound = loop_bound(index, &site);
+        loop_info.push((li, site, midx, bound));
         local_retry.push((midx, bound));
     }
     local_retry.sort_by_key(|&(m, _)| m);
+    let cg = CallGraph::from_roots(project, local_retry.iter().map(|&(m, _)| m));
     let summaries = Summaries::compute(project, &cg, &local_retry, options.jobs);
 
     // Unique-target adjacency for amplification chains.
@@ -153,9 +172,8 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
     let mut w004_found: Vec<(String, String)> = Vec::new(); // (coordinator, caught type)
     let mut cfgs: HashMap<(String, String), Cfg> = HashMap::new();
     let mut abss: HashMap<(String, String), MethodAbs> = HashMap::new();
-    for &(li, midx, bound) in &loop_info {
+    for &(li, site, midx, bound) in &loop_info {
         let rl = &retry_loops[li];
-        let site = find_site(&pindex, rl).expect("site resolved above");
         let key = (site.class.to_string(), site.method.name.clone());
         let abs = abss
             .entry(key.clone())
@@ -182,10 +200,7 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
                             call: *id,
                         };
                         if let Some(targets) = site_targets.get(&call_site) {
-                            if targets
-                                .iter()
-                                .any(|&t| summaries.methods[idx(t, "callee method")].may_sleep)
-                            {
+                            if targets.iter().any(|&t| summaries.get(t).may_sleep) {
                                 has_delay = true;
                             }
                         }
@@ -318,7 +333,7 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
                 continue;
             };
             for &t in *targets {
-                for &exc in &summaries.methods[idx(t, "callee method")].may_throw {
+                for &exc in &summaries.get(t).may_throw {
                     let covered = catch_ids.iter().any(|&c| {
                         index.is_exc_subtype(exc, c) || index.is_exc_subtype(c, exc)
                     });
@@ -348,12 +363,12 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
             if targets.len() != 1 {
                 continue;
             }
-            for (inner, chain) in reachable_retries(targets[0], midx, &precise, &summaries.methods)
-            {
+            for (inner, chain) in reachable_retries(targets[0], midx, &precise, &summaries) {
                 if !amplified.insert(inner) {
                     continue;
                 }
-                let inner_bound = summaries.methods[idx(inner, "inner retry method")]
+                let inner_bound = summaries
+                    .get(inner)
                     .attempts
                     .unwrap_or(AttemptBound::Capped);
                 let product = bound.multiply(inner_bound);
@@ -384,14 +399,13 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
     }
 
     // A001 (same method): one retry loop nested inside another.
-    for (i, &(li, midx, outer_bound)) in loop_info.iter().enumerate() {
+    for (i, &(li, site, midx, outer_bound)) in loop_info.iter().enumerate() {
         let outer = &retry_loops[li];
-        for &(lj, mj, inner_bound) in &loop_info[i + 1..] {
+        for &(lj, _, mj, inner_bound) in &loop_info[i + 1..] {
             if midx != mj {
                 continue;
             }
             let inner = &retry_loops[lj];
-            let site = find_site(&pindex, outer).expect("site resolved above");
             let cfg = Cfg::build(&site.method.body);
             let nested = cfg
                 .blocks_in_loop(inner.loop_id)
@@ -420,7 +434,8 @@ pub fn lint_project(project: &Project, options: &LintOptions) -> LintResult {
             ..IfOptions::default()
         };
         let symbols = &project.symbols;
-        for report in if_ratio_reports(&pindex, &if_options) {
+        let pindex = ProjectIndex::build(project);
+        for report in if_ratio_reports_for(&pindex, retry_loops, &if_options) {
             for outlier in &report.outliers {
                 // A retried-fatal outlier is already W004's finding.
                 let subsumed = report.kind == OutlierKind::MostlyNotRetried
@@ -497,13 +512,6 @@ fn delay_overflows(base: absint::Interval, factor: absint::Interval, attempts: i
     false
 }
 
-fn find_site<'p>(pindex: &'p ProjectIndex<'p>, rl: &RetryLoop) -> Option<&'p LoopSite<'p>> {
-    pindex
-        .loops()
-        .iter()
-        .find(|l| l.file == rl.file && l.loop_id == rl.loop_id)
-}
-
 fn method_index(index: &ProgramIndex, class: &str, name: &str) -> Option<u32> {
     let cid = index.class_by_name(class)?;
     let sym = index.interner.lookup(name)?;
@@ -538,7 +546,7 @@ fn reachable_retries(
     start: u32,
     origin: u32,
     precise: &[Vec<u32>],
-    summaries: &[MethodSummary],
+    summaries: &Summaries,
 ) -> Vec<(u32, Vec<u32>)> {
     let mut out = Vec::new();
     let mut seen: BTreeSet<u32> = BTreeSet::new();
@@ -546,12 +554,12 @@ fn reachable_retries(
     seen.insert(start);
     queue.push_back((start, vec![start]));
     while let Some((m, chain)) = queue.pop_front() {
-        if summaries[idx(m, "method summary")].has_retry_loop && m != origin {
+        if summaries.get(m).has_retry_loop && m != origin {
             out.push((m, chain));
             // Deeper nesting is that method's own finding.
             continue;
         }
-        for &next in &precise[idx(m, "method summary")] {
+        for &next in &precise[idx(m, "chain method")] {
             if next == origin || !seen.insert(next) {
                 continue;
             }
@@ -590,10 +598,7 @@ fn helper_cap(
                     if let Expr::Call { id, .. } = e {
                         let call_site = CallSite { file, call: *id };
                         if let Some(targets) = site_targets.get(&call_site) {
-                            if targets
-                                .iter()
-                                .any(|&t| summaries.methods[idx(t, "callee method")].has_comparison)
-                            {
+                            if targets.iter().any(|&t| summaries.get(t).has_comparison) {
                                 capped = true;
                             }
                         }

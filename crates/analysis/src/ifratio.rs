@@ -97,8 +97,18 @@ struct LoopExceptionUse {
 /// Runs the IF-ratio analysis across the project.
 pub fn if_ratio_reports(index: &ProjectIndex<'_>, options: &IfOptions) -> Vec<IfReport> {
     let loops = find_retry_loops(index, &options.loop_options);
+    if_ratio_reports_for(index, &loops, options)
+}
+
+/// [`if_ratio_reports`] over retry loops already found with
+/// `options.loop_options`.
+pub fn if_ratio_reports_for(
+    index: &ProjectIndex<'_>,
+    loops: &[RetryLoop],
+    options: &IfOptions,
+) -> Vec<IfReport> {
     let mut uses: BTreeMap<String, Vec<LoopExceptionUse>> = BTreeMap::new();
-    for retry_loop in &loops {
+    for retry_loop in loops {
         for (exception, retried) in loop_exceptions(index, retry_loop) {
             uses.entry(exception).or_default().push(LoopExceptionUse {
                 coordinator: retry_loop.coordinator.clone(),

@@ -16,7 +16,7 @@ use wasabi_lang::project::{CallSite, FileId, MethodId};
 use wasabi_lang::span::Span;
 
 /// Options for the retry-loop query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopQueryOptions {
     /// Require naming-convention evidence (the paper's keyword filter).
     pub keyword_filter: bool,

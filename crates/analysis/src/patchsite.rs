@@ -3,16 +3,23 @@
 //! `wasabi repair` consumes lint diagnostics, which anchor a finding at a
 //! `(file, line, col)` plus a coordinator method string. To synthesize a
 //! patch we need the thing the diagnostic is *about*: the retry loop's
-//! statement span inside its source file. This module re-runs the loop
-//! query and matches diagnostics back to concrete loops:
+//! statement span inside its source file. This module matches diagnostics
+//! back to the retry loops lint reported from:
 //!
 //! - **W001/W002** anchor at the retry loop's own span, so the match is
-//!   coordinator string + anchor position ([`patch_site_for`]).
+//!   coordinator string + anchor position ([`patch_site_in`]).
 //! - **A001** anchors at the *outer* loop; the inner loop is recovered
-//!   from the diagnostic chain ([`amp_sites_for`]): cross-method chains
+//!   from the diagnostic chain ([`amp_sites_in`]): cross-method chains
 //!   end at the inner retrying method (`chain.last()`), while same-method
 //!   nesting (`chain[0] == chain[1]`) means the inner loop is the retry
 //!   loop whose span sits strictly inside the outer's in the same method.
+//!
+//! Every loop such a diagnostic names is one of lint's own retry loops:
+//! the anchor loop is, a same-method inner loop is another one, and a
+//! cross-method chain ends at a method whose summary says it holds a retry
+//! loop, which only lint's loops set. So searching the loops of the same
+//! query finds every site; [`patch_site_for`] and [`amp_sites_for`] run
+//! that query first.
 
 use crate::diag::Diagnostic;
 use crate::loops::{find_retry_loops, LoopQueryOptions, RetryLoop};
@@ -46,29 +53,6 @@ fn site_from(project: &Project, rl: &RetryLoop) -> PatchSite {
     }
 }
 
-/// All retry loops, with the keyword filter relaxed as a fallback so
-/// inner loops of interprocedural findings still resolve even when their
-/// own naming evidence is weaker than the anchor loop's.
-fn query_loops(project: &Project, options: &LoopQueryOptions) -> Vec<RetryLoop> {
-    let index = ProjectIndex::build(project);
-    let mut loops = find_retry_loops(&index, options);
-    if options.keyword_filter {
-        let relaxed = LoopQueryOptions {
-            keyword_filter: false,
-            ..options.clone()
-        };
-        for rl in find_retry_loops(&index, &relaxed) {
-            let dup = loops
-                .iter()
-                .any(|have| have.file == rl.file && have.loop_id == rl.loop_id);
-            if !dup {
-                loops.push(rl);
-            }
-        }
-    }
-    loops
-}
-
 fn anchor_matches(project: &Project, rl: &RetryLoop, diag: &Diagnostic) -> bool {
     let file = &project.files[rl.file.0 as usize];
     if file.path != diag.file || rl.coordinator.to_string() != diag.coordinator {
@@ -78,37 +62,38 @@ fn anchor_matches(project: &Project, rl: &RetryLoop, diag: &Diagnostic) -> bool 
     pos.line == diag.line && pos.col == diag.col
 }
 
-/// Resolves the retry loop a `W001`/`W002` diagnostic anchors at.
+/// Resolves the retry loop a `W001`/`W002` diagnostic anchors at, among
+/// `loops` — the retry loops of the lint run that reported it.
 ///
 /// Matching is by coordinator string plus the anchor `(file, line, col)`,
 /// so it is stable under re-lints as long as the loop's own text has not
 /// moved; repair re-lints after every splice precisely so the diagnostic
 /// it maps carries current positions.
-pub fn patch_site_for(
+pub fn patch_site_in(
     project: &Project,
+    loops: &[RetryLoop],
     diag: &Diagnostic,
-    options: &LoopQueryOptions,
 ) -> Option<PatchSite> {
-    query_loops(project, options)
+    loops
         .iter()
         .find(|rl| anchor_matches(project, rl, diag))
         .map(|rl| site_from(project, rl))
 }
 
-/// Resolves both loops of an `A001` retry-amplification diagnostic:
-/// `(outer, inner)`.
+/// Resolves both loops of an `A001` retry-amplification diagnostic,
+/// `(outer, inner)`, among `loops` — the retry loops of the lint run that
+/// reported it.
 ///
 /// The outer loop is the diagnostic's own anchor. The inner loop is the
 /// chain's terminal hop: for a cross-method chain, the (sorted-first)
 /// retry loop of the method named by `chain.last()`; for same-method
 /// nesting, the retry loop whose span is strictly contained in the
 /// outer's.
-pub fn amp_sites_for(
+pub fn amp_sites_in(
     project: &Project,
+    loops: &[RetryLoop],
     diag: &Diagnostic,
-    options: &LoopQueryOptions,
 ) -> Option<(PatchSite, PatchSite)> {
-    let loops = query_loops(project, options);
     let outer = loops.iter().find(|rl| anchor_matches(project, rl, diag))?;
     let same_method = diag.chain.len() >= 2 && diag.chain.iter().all(|hop| *hop == diag.chain[0]);
     let inner = if same_method {
@@ -125,6 +110,32 @@ pub fn amp_sites_for(
             .find(|rl| rl.coordinator.to_string() == *target)?
     };
     Some((site_from(project, outer), site_from(project, inner)))
+}
+
+/// [`patch_site_in`] over the retry loops `options` finds in `project`.
+pub fn patch_site_for(
+    project: &Project,
+    diag: &Diagnostic,
+    options: &LoopQueryOptions,
+) -> Option<PatchSite> {
+    patch_site_in(
+        project,
+        &find_retry_loops(&ProjectIndex::build(project), options),
+        diag,
+    )
+}
+
+/// [`amp_sites_in`] over the retry loops `options` finds in `project`.
+pub fn amp_sites_for(
+    project: &Project,
+    diag: &Diagnostic,
+    options: &LoopQueryOptions,
+) -> Option<(PatchSite, PatchSite)> {
+    amp_sites_in(
+        project,
+        &find_retry_loops(&ProjectIndex::build(project), options),
+        diag,
+    )
 }
 
 #[cfg(test)]

@@ -35,6 +35,39 @@ pub struct LoopSite<'p> {
     pub loop_id: LoopId,
 }
 
+/// Appends the loops of one file, in source order.
+fn file_loops<'p>(project: &'p Project, file: FileId, loops: &mut Vec<LoopSite<'p>>) {
+    for item in &project.files[file.0 as usize].items {
+        let Item::Class(class) = item else { continue };
+        for method in &class.methods {
+            wasabi_lang::ast::walk_stmts(&method.body, &mut |stmt| {
+                match stmt {
+                    Stmt::While { id, .. } | Stmt::For { id, .. } => {
+                        loops.push(LoopSite {
+                            file,
+                            method,
+                            class: class.name.as_str(),
+                            stmt,
+                            loop_id: *id,
+                        });
+                    }
+                    _ => {}
+                }
+                true
+            });
+        }
+    }
+}
+
+/// The first loop of `file` with id `loop_id` — the site
+/// [`ProjectIndex::loops`] lists first for that pair — found by walking
+/// that file alone.
+pub fn loop_site(project: &Project, file: FileId, loop_id: LoopId) -> Option<LoopSite<'_>> {
+    let mut loops = Vec::new();
+    file_loops(project, file, &mut loops);
+    loops.into_iter().find(|l| l.loop_id == loop_id)
+}
+
 /// Precomputed project-wide lookup structures.
 pub struct ProjectIndex<'p> {
     project: &'p Project,
@@ -46,27 +79,8 @@ impl<'p> ProjectIndex<'p> {
     /// Builds the index by walking every method in the project.
     pub fn build(project: &'p Project) -> Self {
         let mut loops = Vec::new();
-        for (fidx, file) in project.files.iter().enumerate() {
-            for item in &file.items {
-                let Item::Class(class) = item else { continue };
-                for method in &class.methods {
-                    wasabi_lang::ast::walk_stmts(&method.body, &mut |stmt| {
-                        match stmt {
-                            Stmt::While { id, .. } | Stmt::For { id, .. } => {
-                                loops.push(LoopSite {
-                                    file: FileId(fidx as u32),
-                                    method,
-                                    class: class.name.as_str(),
-                                    stmt,
-                                    loop_id: *id,
-                                });
-                            }
-                            _ => {}
-                        }
-                        true
-                    });
-                }
-            }
+        for fidx in 0..project.files.len() {
+            file_loops(project, FileId(fidx as u32), &mut loops);
         }
         ProjectIndex { project, loops }
     }

@@ -17,6 +17,15 @@
 //!   transitively calls) contains a retry loop, and the local loop's
 //!   attempt bound when it does.
 //!
+//! # Demand
+//!
+//! Only the methods the call graph resolved get a summary. A graph built
+//! from roots resolves a set closed under callees, so every component of
+//! it is a whole component of the full graph, at the same level, and each
+//! summary equals the one the full graph gives. Reading any other method's
+//! summary is a bug; [`Summaries::get`] asserts against it in debug
+//! builds.
+//!
 //! # Determinism
 //!
 //! Components are processed level by level over the condensation DAG
@@ -28,7 +37,7 @@
 //! therefore compute identical values in any interleaving — `--jobs 1`
 //! and `--jobs 4` produce byte-identical summaries.
 
-use crate::callgraph::{sccs, CallGraph, ResolvedCall};
+use crate::callgraph::{sccs_from, CallGraph, ResolvedCall};
 use crate::idx;
 use std::collections::{BTreeSet, HashMap};
 use wasabi_lang::ast::BinOp;
@@ -89,15 +98,19 @@ pub struct MethodSummary {
     pub has_comparison: bool,
 }
 
-/// Summaries for every compiled method, indexed by method index.
+/// Summaries for the methods a call graph resolved, indexed by method
+/// index.
 #[derive(Debug)]
 pub struct Summaries {
-    /// `methods[m]` — summary for method index `m`.
-    pub methods: Vec<MethodSummary>,
+    /// `methods[m]` — summary for method index `m`; a default for a
+    /// method the call graph did not resolve.
+    methods: Vec<MethodSummary>,
+    /// `resolved[m]` — whether `methods[m]` was solved.
+    resolved: Vec<bool>,
 }
 
 impl Summaries {
-    /// Computes all summaries. `local_retry` carries, per method index,
+    /// Computes the summaries of every method `cg` resolved. `local_retry` carries, per method index,
     /// the attempt bound of the retry loops found in that method by the
     /// loop query (empty slice when only throw/sleep facts are needed);
     /// `jobs` bounds the worker threads used per condensation level.
@@ -119,7 +132,10 @@ impl Summaries {
             });
         }
 
-        let scc = sccs(&cg.callees);
+        let scc = sccs_from(
+            &cg.callees,
+            (0..n as u32).filter(|&m| cg.resolved[m as usize]),
+        );
         // Level = longest path to a leaf component. Components arrive in
         // reverse topological order, so every callee component has a
         // smaller index and its level is already final.
@@ -182,14 +198,27 @@ impl Summaries {
                 methods[idx(midx, "solved method")] = summary;
             }
         }
-        Summaries { methods }
+        Summaries {
+            methods,
+            resolved: cg.resolved.clone(),
+        }
+    }
+
+    /// The summary of method `m`, which the call graph must have resolved.
+    pub fn get(&self, m: u32) -> &MethodSummary {
+        let at = idx(m, "method");
+        debug_assert!(
+            self.resolved[at],
+            "summary of method {m}, which the call graph did not resolve"
+        );
+        &self.methods[at]
     }
 
     /// Union of the may-throw sets of a call's targets.
     pub fn targets_may_throw(&self, call: &ResolvedCall) -> BTreeSet<ExcId> {
         let mut out = BTreeSet::new();
         for &t in &call.targets {
-            out.extend(self.methods[idx(t, "call target")].may_throw.iter().copied());
+            out.extend(self.get(t).may_throw.iter().copied());
         }
         out
     }
@@ -508,10 +537,10 @@ mod tests {
         Summaries::compute(p, &cg, &[], jobs)
     }
 
-    fn midx(p: &Project, class: &str, name: &str) -> usize {
+    fn midx(p: &Project, class: &str, name: &str) -> u32 {
         let cid = p.index.class_by_name(class).expect("class");
         let sym = p.index.interner.lookup(name).expect("name");
-        idx(p.index.resolve_dispatch(cid, sym).expect("dispatch"), "dispatch")
+        p.index.resolve_dispatch(cid, sym).expect("dispatch")
     }
 
     fn exc(p: &Project, name: &str) -> ExcId {
@@ -534,10 +563,10 @@ mod tests {
              }",
         );
         let s = summaries(&p, 1);
-        let both = &s.methods[midx(&p, "C", "both")];
+        let both = s.get(midx(&p, "C", "both"));
         assert!(both.may_throw.contains(&exc(&p, "NetError")));
         assert!(both.may_throw.contains(&exc(&p, "DiskError")));
-        let filtered = &s.methods[midx(&p, "C", "filtered")];
+        let filtered = s.get(midx(&p, "C", "filtered"));
         assert!(!filtered.may_throw.contains(&exc(&p, "NetError")));
         assert!(filtered.may_throw.contains(&exc(&p, "DiskError")));
     }
@@ -555,7 +584,7 @@ mod tests {
              }",
         );
         let s = summaries(&p, 1);
-        let wrap = &s.methods[midx(&p, "C", "wrap")];
+        let wrap = s.get(midx(&p, "C", "wrap"));
         assert!(wrap.may_throw.contains(&exc(&p, "NetError")));
     }
 
@@ -570,8 +599,8 @@ mod tests {
              }",
         );
         let s = summaries(&p, 1);
-        assert!(s.methods[midx(&p, "C", "run")].may_sleep);
-        assert!(!s.methods[midx(&p, "C", "quiet")].may_sleep);
+        assert!(s.get(midx(&p, "C", "run")).may_sleep);
+        assert!(!s.get(midx(&p, "C", "quiet")).may_sleep);
     }
 
     #[test]
@@ -584,10 +613,12 @@ mod tests {
              }",
         );
         let s = summaries(&p, 1);
-        assert!(s.methods[midx(&p, "C", "a")]
+        assert!(s
+            .get(midx(&p, "C", "a"))
             .may_throw
             .contains(&exc(&p, "NetError")));
-        assert!(s.methods[midx(&p, "C", "b")]
+        assert!(s
+            .get(midx(&p, "C", "b"))
             .may_throw
             .contains(&exc(&p, "NetError")));
     }
@@ -606,5 +637,43 @@ mod tests {
         let s1 = summaries(&p, 1);
         let s4 = summaries(&p, 4);
         assert_eq!(s1.methods, s4.methods);
+    }
+
+    const ROOTED: &str = "exception NetError;\n\
+         class A { method x() { throw new NetError(\"a\"); } method unused() { sleep(1); } }\n\
+         class B { method y() { new A().x(); sleep(5); return 1; } }\n\
+         class C {\n\
+           method r1() { new B().y(); return this.r2(); }\n\
+           method r2() { if (true) { return this.r1(); } return 2; }\n\
+           method other() { return new A().unused(); }\n\
+         }";
+
+    #[test]
+    fn summaries_from_roots_equal_the_full_summaries() {
+        let p = project(ROOTED);
+        let full = summaries(&p, 1);
+        let cg = CallGraph::from_roots(&p, [midx(&p, "C", "r1")]);
+        let rooted = Summaries::compute(&p, &cg, &[], 2);
+        for (class, name) in [("C", "r1"), ("C", "r2"), ("B", "y"), ("A", "x")] {
+            let m = midx(&p, class, name);
+            assert!(cg.resolved[m as usize], "{class}.{name} resolved");
+            assert_eq!(rooted.get(m), full.get(m), "{class}.{name}");
+        }
+        for (class, name) in [("C", "other"), ("A", "unused")] {
+            assert!(
+                !cg.resolved[midx(&p, class, name) as usize],
+                "{class}.{name}"
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "did not resolve")]
+    fn reading_an_unresolved_summary_fails() {
+        let p = project(ROOTED);
+        let cg = CallGraph::from_roots(&p, [midx(&p, "C", "r1")]);
+        let rooted = Summaries::compute(&p, &cg, &[], 1);
+        rooted.get(midx(&p, "C", "other"));
     }
 }

@@ -220,8 +220,15 @@ pub fn lint_with_overlap(
     llm: &mut dyn LanguageModel,
     options: &LintOptions,
 ) -> LintReport {
+    lint_with_sweep(project, sweep_project(project, llm), options)
+}
+
+/// [`lint_with_overlap`] with the LLM sweep of `project` already done, for
+/// example by [`sweep_sources`](wasabi_llm::detector::sweep_sources)
+/// beside the compile: runs the static checkers and accounts their overlap
+/// with `sweep`.
+pub fn lint_with_sweep(project: &Project, sweep: LlmSweep, options: &LintOptions) -> LintReport {
     let lint = lint_project(project, options);
-    let sweep = sweep_project(project, llm);
 
     let static_found: BTreeSet<(String, String, &'static str)> = lint
         .diagnostics

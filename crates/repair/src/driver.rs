@@ -23,8 +23,10 @@
 //! Each candidate is the last *accepted* state with one file replaced:
 //! only that file is reparsed and re-asked of the LLM, while the static
 //! query, lint and campaign preparation run over the whole candidate (see
-//! `Compiled::with_patch`). A rejected candidate's failing-run trace is
-//! fed into the next template choice ([`select_template`]); run keys are
+//! `Compiled::with_patch`). The retry-loop query runs once per state:
+//! lint and patch-site resolution both read the loops it found. A
+//! rejected candidate's failing-run trace is fed into the next template
+//! choice ([`select_template`]); run keys are
 //! splice-stable (insertions add no calls, and flattening removes none),
 //! so baseline outcomes stay addressable across candidates.
 //!
@@ -35,10 +37,11 @@
 
 use crate::templates::{synthesize, templates_for, PatchedFile, Template};
 use std::collections::{BTreeMap, BTreeSet};
-use wasabi_analysis::checkers::{lint_project, LintOptions, LintResult};
+use wasabi_analysis::checkers::{lint_with_loops, LintOptions, LintResult};
 use wasabi_analysis::diag::Diagnostic;
-use wasabi_analysis::loops::LoopQueryOptions;
-use wasabi_analysis::patchsite::{amp_sites_for, patch_site_for, PatchSite};
+use wasabi_analysis::loops::{find_retry_loops, LoopQueryOptions, RetryLoop};
+use wasabi_analysis::patchsite::{amp_sites_in, patch_site_in, PatchSite};
+use wasabi_analysis::resolve::ProjectIndex;
 use wasabi_core::dynamic::{prepare_campaign, DynamicOptions, PreparedCampaign};
 use wasabi_core::identify::{identify, reidentify_file, Identified};
 use wasabi_core::SimulatedLlm;
@@ -170,11 +173,16 @@ fn is_retry_code(code: &str) -> bool {
 }
 
 /// Compiled state for the current source set: the project, its
-/// identification pass and its lint result. Never digested: only the
-/// daemon cache and the shard manifest read a source digest.
+/// identification pass, its retry loops and its lint result. Never
+/// digested: only the daemon cache and the shard manifest read a source
+/// digest.
 struct Compiled {
     project: Project,
     identified: Identified,
+    /// The retry loops under the lint options' loop query, when those
+    /// options are not the static identification's; `None` means they are,
+    /// and `identified.codeql_loops` holds the loops.
+    own_loops: Option<Vec<RetryLoop>>,
     lint: LintResult,
 }
 
@@ -220,13 +228,28 @@ impl Compiled {
         Ok(Compiled::linted(project, identified, lint_opts))
     }
 
+    /// Lints over this state's retry loops: the static identification
+    /// already ran the default loop query, so that is reused; other loop
+    /// options get one query of their own.
     fn linted(project: Project, identified: Identified, lint_opts: &LintOptions) -> Compiled {
-        let lint = lint_project(&project, lint_opts);
+        let own_loops = (lint_opts.loops != LoopQueryOptions::default())
+            .then(|| find_retry_loops(&ProjectIndex::build(&project), &lint_opts.loops));
+        let loops = own_loops.as_deref().unwrap_or(&identified.codeql_loops);
+        let lint = lint_with_loops(&project, loops, lint_opts);
         Compiled {
             project,
             identified,
+            own_loops,
             lint,
         }
+    }
+
+    /// The retry loops lint reported from, which patch sites resolve
+    /// against.
+    fn loops(&self) -> &[RetryLoop] {
+        self.own_loops
+            .as_deref()
+            .unwrap_or(&self.identified.codeql_loops)
     }
 }
 
@@ -528,10 +551,10 @@ pub fn repair(
             // Resolve the patch site(s) against the *current* sources —
             // positions move as earlier fixes land.
             let resolved: Option<(PatchSite, Option<PatchSite>)> = if target.code == "A001" {
-                amp_sites_for(&compiled.project, &diag, &options.loops)
+                amp_sites_in(&compiled.project, compiled.loops(), &diag)
                     .map(|(outer, inner)| (outer, Some(inner)))
             } else {
-                patch_site_for(&compiled.project, &diag, &options.loops).map(|site| (site, None))
+                patch_site_in(&compiled.project, compiled.loops(), &diag).map(|site| (site, None))
             };
             let Some((site, inner)) = resolved else {
                 reason = "could not resolve the diagnostic to a loop".to_string();
@@ -712,7 +735,26 @@ mod tests {
             ("Flaky.jav".to_string(), flaky.to_string()),
             ("Solid.jav".to_string(), solid.to_string()),
         ];
-        let outcome = repair("driver-test", sources, &RepairOptions::default()).expect("repair");
+        let outcome =
+            repair("driver-test", sources.clone(), &RepairOptions::default()).expect("repair");
+
+        // Loop options other than the identification's give each state a
+        // loop query of its own; these keywords find the same loops here,
+        // so the session must come out the same.
+        let own_query = RepairOptions {
+            loops: LoopQueryOptions {
+                keywords: vec!["retry".to_string()],
+                ..LoopQueryOptions::default()
+            },
+            ..RepairOptions::default()
+        };
+        let again = repair("driver-test", sources, &own_query).expect("repair");
+        assert_eq!(again.sources, outcome.sources, "same final sources");
+        assert_eq!(
+            format!("{:?}", again.targets),
+            format!("{:?}", outcome.targets),
+            "same targets"
+        );
 
         assert_eq!(outcome.targets.len(), 2, "W001 + W002 on Flaky.fetch");
         for target in &outcome.targets {

@@ -27,10 +27,12 @@
 //!   the batch digest pinned in `scripts/seed_report_digest.txt`.
 //! - `lint` — the static-analysis gate: regenerate the pinned corpus apps
 //!   (with the amplification seeds), check `wasabi lint` output is
-//!   byte-identical between `--jobs 1` and `--jobs 4`, and fail on any
-//!   diagnostic not in the checked-in baseline
-//!   (`scripts/lint_baseline.txt`, rewritten with `lint --record`).
-//!   Wired into `ci`.
+//!   byte-identical between `--jobs 1` and `--jobs 4`, and require the
+//!   baseline `wasabi lint --write-baseline` writes to equal the
+//!   checked-in one (`scripts/lint_baseline.txt`, rewritten with
+//!   `lint --record`) exactly, so a finding can neither appear nor
+//!   disappear unnoticed; a mismatch prints the added and removed
+//!   fingerprints. Wired into `ci`.
 //! - `chaos-shard-smoke` — the crash-tolerance gate: run the seed app as
 //!   a 4-shard multi-process campaign with one shard chaos-killed
 //!   mid-flight; the supervisor must recover it and the merged report
@@ -56,9 +58,10 @@
 //!   included), `wasabi lint --json --cross-check` must be
 //!   byte-identical between `--jobs 1` and `--jobs 4`, and the
 //!   W004/W005/W006 findings must score at least 0.9 precision and
-//!   recall per code against the `policy_truth.json` sidecars. Writes
-//!   `target/BENCH_PR10.json` with per-app static-sweep wall times and the
-//!   per-code score table.
+//!   recall per code against the `policy_truth.json` sidecars, and each
+//!   app's report digest must match `scripts/lint_report_digest.txt`
+//!   (`--record` rewrites the file). Writes `target/BENCH_PR10.json` with
+//!   per-app static-sweep wall times and the per-code score table.
 //! - `repro-gate` — the paper-fidelity gate: `repro --scale paper all`
 //!   (Tables 1–6, Figures 3–4, the §2.5 and §4 statistics) must
 //!   reproduce the checked-in `repro_paper_output.txt` byte for byte.
@@ -124,7 +127,7 @@ fn main() {
         }
         "lint-gate" => {
             run_stage("build --release --bin wasabi", &["build", "--release", "--bin", "wasabi"]);
-            policy_lint_gate();
+            policy_lint_gate(flags.iter().any(|f| f == "--record"));
         }
         "repro-gate" => {
             run_stage(
@@ -287,6 +290,7 @@ const ADAPTIVE_BENCH_OUT: &str = "target/BENCH_PR8.json";
 const REPAIR_BENCH_OUT: &str = "target/BENCH_PR9.json";
 const REPAIR_DIGEST_PATH: &str = "scripts/repair_report_digest.txt";
 const POLICY_BENCH_OUT: &str = "target/BENCH_PR10.json";
+const LINT_REPORT_DIGEST_PATH: &str = "scripts/lint_report_digest.txt";
 /// Aggregate and per-class fix-rate floor (percent) for the repair gate.
 const REPAIR_RATE_FLOOR: u64 = 80;
 /// Apps whose `wasabi test --json` reports are digest-pinned.
@@ -298,8 +302,9 @@ const LINT_APPS: &[&str] = &["HD", "MA"];
 
 /// The static-analysis gate: `wasabi lint` over the pinned corpus apps
 /// (amplification seeds included) must be byte-identical between
-/// `--jobs 1` and `--jobs 4`, and — unless `record` — every diagnostic
-/// must be fingerprinted in the checked-in baseline.
+/// `--jobs 1` and `--jobs 4`, and — unless `record`, which rewrites it —
+/// the baseline it writes must equal the checked-in one exactly: a new
+/// finding and a lost one both fail.
 fn lint_gate(record: bool) {
     eprintln!("==> lint gate: corpus sweep vs {LINT_BASELINE_PATH}");
     let wasabi = release_wasabi()
@@ -342,19 +347,18 @@ fn lint_gate(record: bool) {
         }
         eprintln!("    {app}: output identical across jobs=1/4 ({} bytes)", serial.1.len());
 
-        if record {
-            let app_baseline = work.join(format!("{app}-baseline.txt"));
-            let _ = run_wasabi_lint_in(
-                &wasabi,
-                &work,
-                &["--write-baseline", app_baseline.to_str().unwrap()],
-                &rel,
-            );
-            baseline_out.push_str(
-                &fs::read_to_string(&app_baseline)
-                    .unwrap_or_else(|e| fail(&format!("read {}: {e}", app_baseline.display()))),
-            );
-        } else {
+        let app_baseline = work.join(format!("{app}-baseline.txt"));
+        let _ = run_wasabi_lint_in(
+            &wasabi,
+            &work,
+            &["--write-baseline", app_baseline.to_str().unwrap()],
+            &rel,
+        );
+        baseline_out.push_str(
+            &fs::read_to_string(&app_baseline)
+                .unwrap_or_else(|e| fail(&format!("read {}: {e}", app_baseline.display()))),
+        );
+        if !record {
             let (code, stdout) = run_wasabi_lint_in(
                 &wasabi,
                 &work,
@@ -381,6 +385,35 @@ fn lint_gate(record: bool) {
         );
         return;
     }
+    let recorded = fs::read_to_string(LINT_BASELINE_PATH)
+        .unwrap_or_else(|e| fail(&format!("read {LINT_BASELINE_PATH}: {e}")));
+    if recorded != baseline_out {
+        let fingerprints = |text: &str| -> std::collections::BTreeSet<String> {
+            text.lines()
+                .filter(|line| !line.starts_with('#'))
+                .map(str::to_string)
+                .collect()
+        };
+        let (fresh, pinned) = (fingerprints(&baseline_out), fingerprints(&recorded));
+        for added in fresh.difference(&pinned) {
+            eprintln!("  + {added}");
+        }
+        for removed in pinned.difference(&fresh) {
+            eprintln!("  - {removed}");
+        }
+        fail(&format!(
+            "lint gate: the fresh baseline differs from {LINT_BASELINE_PATH} \
+             (+ added, - removed; no lines listed means the order or count changed); \
+             rewrite it with `cargo xtask lint --record` if the change is intended"
+        ));
+    }
+    eprintln!(
+        "    fresh baseline equals {LINT_BASELINE_PATH} ({} fingerprints)",
+        baseline_out
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .count()
+    );
     eprintln!("lint gate: OK");
 }
 
@@ -1002,9 +1035,11 @@ fn repair_gate(record: bool) {
 /// byte-identical between `--jobs 1` and `--jobs 4`, and score the
 /// W004/W005/W006 diagnostics against the `policy_truth.json` sidecars —
 /// at least 0.9 precision and recall per code, the same bar the A001
-/// test gate sets. Writes `target/BENCH_PR10.json` with per-app static-sweep
-/// wall times and the per-code score table.
-fn policy_lint_gate() {
+/// test gate sets — and pin each app's report digest in
+/// `scripts/lint_report_digest.txt` (or, with `record`, rewrite it).
+/// Writes `target/BENCH_PR10.json` with per-app static-sweep wall times
+/// and the per-code score table.
+fn policy_lint_gate(record: bool) {
     eprintln!("==> lint gate: W004-W006 precision/recall over the policy-seeded corpus");
     let wasabi = release_wasabi()
         .canonicalize()
@@ -1016,6 +1051,7 @@ fn policy_lint_gate() {
     let mut scores: Vec<(&str, u64, u64, u64)> =
         vec![("W004", 0, 0, 0), ("W005", 0, 0, 0), ("W006", 0, 0, 0)];
     let mut app_rows = Vec::new();
+    let mut digests = String::new();
     for app in ADAPTIVE_APPS {
         let app_dir = work.join(app);
         let status = Command::new(&wasabi)
@@ -1046,6 +1082,7 @@ fn policy_lint_gate() {
             ));
         }
         let report = serial.1;
+        digests.push_str(&format!("{app} {:016x}\n", fnv1a64(report.as_bytes())));
         if !report.contains("\"cross_check\"") || !report.contains("static-only") {
             fail(&format!("lint gate: {app} report is missing the agreement matrix"));
         }
@@ -1119,6 +1156,28 @@ fn policy_lint_gate() {
         ));
     }
     let _ = fs::remove_dir_all(&work);
+
+    if record {
+        fs::write(LINT_REPORT_DIGEST_PATH, &digests)
+            .unwrap_or_else(|e| fail(&format!("write {LINT_REPORT_DIGEST_PATH}: {e}")));
+        eprintln!("lint gate: recorded to {LINT_REPORT_DIGEST_PATH}:\n{digests}");
+    } else {
+        let recorded = fs::read_to_string(LINT_REPORT_DIGEST_PATH).unwrap_or_else(|_| {
+            fail(&format!(
+                "{LINT_REPORT_DIGEST_PATH} missing — record one with `cargo xtask lint-gate --record`"
+            ))
+        });
+        if recorded != digests {
+            eprintln!("recorded:\n{recorded}\ncomputed:\n{digests}");
+            fail(
+                "lint gate: lint report digest changed — the reports are no longer byte-identical",
+            );
+        }
+        eprintln!(
+            "    lint report digests unchanged ({} apps)",
+            ADAPTIVE_APPS.len()
+        );
+    }
 
     let mut code_rows = Vec::new();
     for (code, tp, genuine, reported) in &scores {

@@ -25,8 +25,11 @@
 #      not CI's.
 #   5. lint gate: `wasabi lint` over the pinned corpus apps (amplification
 #      seeds included) must be byte-identical between --jobs 1 and
-#      --jobs 4 and must report nothing outside the checked-in baseline
-#      (scripts/lint_baseline.txt).
+#      --jobs 4, and the baseline it writes must equal the checked-in
+#      scripts/lint_baseline.txt exactly, so a finding that appears and
+#      one that disappears both fail; a mismatch prints the added and
+#      removed fingerprints (re-record deliberately with
+#      `cargo xtask lint --record`).
 #   6. serve smoke: a `wasabi serve` daemon on a loopback port must
 #      answer two submissions of the seed app with byte-identical
 #      reports whose digest equals the batch value pinned in
@@ -50,9 +53,11 @@
 #  10. lint gate (retry-policy abstract interpretation): `wasabi lint
 #      --json --cross-check` over all eight corpus apps (small scale,
 #      amplification and policy seeds included) must be byte-identical
-#      between --jobs 1 and --jobs 4, and the W004/W005/W006 findings
+#      between --jobs 1 and --jobs 4, the W004/W005/W006 findings
 #      must score at least 0.9 precision and recall per code against the
-#      policy_truth.json sidecars (writes target/BENCH_PR10.json).
+#      policy_truth.json sidecars, and each app's report digest must match
+#      scripts/lint_report_digest.txt (re-record deliberately with
+#      `cargo xtask lint-gate --record`; writes target/BENCH_PR10.json).
 #  11. repro gate (paper fidelity): `repro --scale paper all` must print
 #      the checked-in repro_paper_output.txt byte for byte, pinning the
 #      Table 3 counts, the Figure 3 counts and overlap, and the FP
@@ -85,7 +90,7 @@ cargo xtask smoke
 echo "== stage 4: report digest (seed-corpus reports vs recorded digest) =="
 cargo xtask digest
 
-echo "== stage 5: lint gate (static diagnostics vs baseline) =="
+echo "== stage 5: lint gate (static diagnostics equal the baseline exactly) =="
 cargo xtask lint
 
 echo "== stage 6: serve smoke (daemon vs batch digest, cache hit) =="
@@ -100,7 +105,7 @@ cargo xtask adaptive-gate
 echo "== stage 9: repair gate (auto-repair fix rate vs seeded ground truth) =="
 cargo xtask repair-gate
 
-echo "== stage 10: lint gate (W004-W006 precision/recall, cross-check matrix) =="
+echo "== stage 10: lint gate (W004-W006 precision/recall, report digests) =="
 cargo xtask lint-gate
 
 echo "== stage 11: repro gate (paper tables byte-identical to repro_paper_output.txt) =="

@@ -31,13 +31,13 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use wasabi::analysis::checkers::{lint_project, LintOptions};
+use wasabi::analysis::checkers::{lint_with_loops, LintOptions};
 use wasabi::analysis::ifratio::{if_ratio_reports, IfOptions};
 use wasabi::analysis::loops::{all_retry_locations, LoopQueryOptions};
 use wasabi::analysis::resolve::ProjectIndex;
 use wasabi::core::dynamic::{run_dynamic_with_observer, DynamicOptions};
 use wasabi::core::identify::identify;
-use wasabi::core::lint::{cross_check, lint_with_overlap};
+use wasabi::core::lint::{cross_check, lint_with_sweep};
 use wasabi::core::report_json;
 use wasabi::engine::campaign::{ChaosConfig, RetryPolicy};
 use wasabi::engine::{
@@ -45,6 +45,7 @@ use wasabi::engine::{
     MetricsObserver, NullObserver, StderrProgress, Tee,
 };
 use wasabi::lang::project::Project;
+use wasabi::llm::detector::sweep_sources;
 use wasabi::llm::simulated::SimulatedLlm;
 use wasabi::serve::daemon::{Bind, ServeOptions};
 use wasabi::serve::protocol::Request;
@@ -260,9 +261,22 @@ fn take_campaign_flags(args: &mut Vec<String>) -> Result<CampaignFlags, String> 
 }
 
 fn with_project(paths: &[String], run: impl FnOnce(&Project) -> ExitCode) -> ExitCode {
+    let sources = match read_sources(paths) {
+        Ok(sources) => sources,
+        Err(code) => return code,
+    };
+    match Project::compile("cli", sources) {
+        Ok(project) => run(&project),
+        Err(errors) => compile_failed(&errors),
+    }
+}
+
+/// Reads every input file as a `(path, source)` pair, or reports why it
+/// cannot (exit 2).
+fn read_sources(paths: &[String]) -> Result<Vec<(String, String)>, ExitCode> {
     if paths.is_empty() {
         eprintln!("no input files\n{USAGE}");
-        return ExitCode::from(2);
+        return Err(ExitCode::from(2));
     }
     let mut sources = Vec::new();
     for path in paths {
@@ -270,21 +284,20 @@ fn with_project(paths: &[String], run: impl FnOnce(&Project) -> ExitCode) -> Exi
             Ok(source) => sources.push((path.clone(), source)),
             Err(err) => {
                 eprintln!("cannot read {path}: {err}");
-                return ExitCode::from(2);
+                return Err(ExitCode::from(2));
             }
         }
     }
-    match Project::compile("cli", sources) {
-        Ok(project) => run(&project),
-        Err(errors) => {
-            for error in errors.iter().take(20) {
-                eprintln!("{error}");
-            }
-            // Input errors are 2, like any other unusable invocation;
-            // exit 1 is reserved for findings in valid inputs.
-            ExitCode::from(2)
-        }
+    Ok(sources)
+}
+
+/// Prints the first compile errors. Input errors are 2, like any other
+/// unusable invocation; exit 1 is reserved for findings in valid inputs.
+fn compile_failed(errors: &[wasabi::lang::error::Diagnostic]) -> ExitCode {
+    for error in errors.iter().take(20) {
+        eprintln!("{error}");
     }
+    ExitCode::from(2)
 }
 
 fn analyze(project: &Project, json: bool) -> ExitCode {
@@ -449,110 +462,119 @@ fn lint(args: &mut Vec<String>, json: bool, flags: &CampaignFlags) -> ExitCode {
     };
     let want_cross = take_flag(args, "--cross-check");
     let no_ifratio = take_flag(args, "--no-ifratio");
-    let jobs = flags.jobs;
-    with_project(args, move |project| {
-        let mut llm = SimulatedLlm::with_seed(0);
-        let options = LintOptions {
-            jobs,
-            ifratio: !no_ifratio,
-            ..LintOptions::default()
-        };
-        let report = lint_with_overlap(project, &mut llm, &options);
-        // Arbitrate before baseline suppression: the matrix is about what
-        // each detector *finds*, and a suppressed diagnostic was still
-        // found.
-        let cross = want_cross.then(|| cross_check(&report.lint, &report.sweep));
-        if let Some(path) = &write_baseline {
-            let rendered = wasabi::analysis::diag::render_baseline(&report.lint.diagnostics);
-            if let Err(err) = std::fs::write(path, rendered) {
-                eprintln!("cannot write baseline {path}: {err}");
-                return ExitCode::from(2);
-            }
-            println!(
-                "wrote {} fingerprints to {path}",
-                report.lint.diagnostics.len()
-            );
-            return ExitCode::SUCCESS;
+    let sources = match read_sources(args) {
+        Ok(sources) => sources,
+        Err(code) => return code,
+    };
+    // The LLM sweep reads only the raw sources, so it runs beside the
+    // parse and link.
+    let (project, sweep) = Project::compile_beside("cli", sources, |sources| {
+        sweep_sources(sources, &mut SimulatedLlm::with_seed(0))
+    });
+    let project = match project {
+        Ok(project) => project,
+        Err(errors) => return compile_failed(&errors),
+    };
+    let options = LintOptions {
+        jobs: flags.jobs,
+        ifratio: !no_ifratio,
+        ..LintOptions::default()
+    };
+    let report = lint_with_sweep(&project, sweep, &options);
+    // Arbitrate before baseline suppression: the matrix is about what
+    // each detector *finds*, and a suppressed diagnostic was still
+    // found.
+    let cross = want_cross.then(|| cross_check(&report.lint, &report.sweep));
+    if let Some(path) = &write_baseline {
+        let rendered = wasabi::analysis::diag::render_baseline(&report.lint.diagnostics);
+        if let Err(err) = std::fs::write(path, rendered) {
+            eprintln!("cannot write baseline {path}: {err}");
+            return ExitCode::from(2);
         }
-        let (diags, suppressed) = match &baseline {
-            Some(fingerprints) => {
-                wasabi::analysis::diag::apply_baseline(report.lint.diagnostics, fingerprints)
-            }
-            None => (report.lint.diagnostics, 0),
-        };
-        if json {
-            let mut fields = vec![
-                (
-                    "diagnostics",
-                    Json::arr(diags.iter().map(|d| {
-                        Json::obj([
-                            ("code", Json::from(d.code)),
-                            ("severity", Json::from(d.severity.label())),
-                            ("file", Json::from(d.file.as_str())),
-                            ("line", Json::from(d.line as i64)),
-                            ("col", Json::from(d.col as i64)),
-                            ("coordinator", Json::from(d.coordinator.as_str())),
-                            ("message", Json::from(d.message.as_str())),
-                            (
-                                "chain",
-                                Json::arr(d.chain.iter().map(|h| Json::from(h.as_str()))),
-                            ),
-                        ])
-                    })),
-                ),
-                ("suppressed", Json::from(suppressed as i64)),
-                (
-                    "overlap",
+        println!(
+            "wrote {} fingerprints to {path}",
+            report.lint.diagnostics.len()
+        );
+        return ExitCode::SUCCESS;
+    }
+    let (diags, suppressed) = match &baseline {
+        Some(fingerprints) => {
+            wasabi::analysis::diag::apply_baseline(report.lint.diagnostics, fingerprints)
+        }
+        None => (report.lint.diagnostics, 0),
+    };
+    if json {
+        let mut fields = vec![
+            (
+                "diagnostics",
+                Json::arr(diags.iter().map(|d| {
                     Json::obj([
-                        ("static_only", Json::from(report.overlap.static_only as i64)),
-                        ("llm_only", Json::from(report.overlap.llm_only as i64)),
-                        ("both", Json::from(report.overlap.both as i64)),
-                        ("total", Json::from(report.overlap.total() as i64)),
-                    ]),
-                ),
-            ];
-            if let Some(cross) = &cross {
-                fields.push((
-                    "cross_check",
-                    Json::obj([
+                        ("code", Json::from(d.code)),
+                        ("severity", Json::from(d.severity.label())),
+                        ("file", Json::from(d.file.as_str())),
+                        ("line", Json::from(d.line as i64)),
+                        ("col", Json::from(d.col as i64)),
+                        ("coordinator", Json::from(d.coordinator.as_str())),
+                        ("message", Json::from(d.message.as_str())),
                         (
-                            "cells",
-                            Json::arr(cross.cells.iter().map(|cell| {
-                                Json::obj([
-                                    ("tier", Json::from(cell.tier.label())),
-                                    ("code", Json::from(cell.code.as_str())),
-                                    ("file", Json::from(cell.file.as_str())),
-                                    ("method", Json::from(cell.method.as_str())),
-                                ])
-                            })),
+                            "chain",
+                            Json::arr(d.chain.iter().map(|h| Json::from(h.as_str()))),
                         ),
-                        ("both", Json::from(cross.both as i64)),
-                        ("static_only", Json::from(cross.static_only as i64)),
-                        ("llm_only", Json::from(cross.llm_only as i64)),
-                    ]),
-                ));
-            }
-            print!("{}", Json::obj(fields).pretty());
-        } else {
-            print!("{}", wasabi::analysis::diag::render_text(&diags));
-            println!(
-                "{} diagnostics ({} suppressed by baseline); WHEN overlap: {} static-only, {} llm-only, {} both",
-                diags.len(),
-                suppressed,
-                report.overlap.static_only,
-                report.overlap.llm_only,
-                report.overlap.both
-            );
-            if let Some(cross) = &cross {
-                print!("{}", cross.render_text());
-            }
+                    ])
+                })),
+            ),
+            ("suppressed", Json::from(suppressed as i64)),
+            (
+                "overlap",
+                Json::obj([
+                    ("static_only", Json::from(report.overlap.static_only as i64)),
+                    ("llm_only", Json::from(report.overlap.llm_only as i64)),
+                    ("both", Json::from(report.overlap.both as i64)),
+                    ("total", Json::from(report.overlap.total() as i64)),
+                ]),
+            ),
+        ];
+        if let Some(cross) = &cross {
+            fields.push((
+                "cross_check",
+                Json::obj([
+                    (
+                        "cells",
+                        Json::arr(cross.cells.iter().map(|cell| {
+                            Json::obj([
+                                ("tier", Json::from(cell.tier.label())),
+                                ("code", Json::from(cell.code.as_str())),
+                                ("file", Json::from(cell.file.as_str())),
+                                ("method", Json::from(cell.method.as_str())),
+                            ])
+                        })),
+                    ),
+                    ("both", Json::from(cross.both as i64)),
+                    ("static_only", Json::from(cross.static_only as i64)),
+                    ("llm_only", Json::from(cross.llm_only as i64)),
+                ]),
+            ));
         }
-        if diags.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
+        print!("{}", Json::obj(fields).pretty());
+    } else {
+        print!("{}", wasabi::analysis::diag::render_text(&diags));
+        println!(
+            "{} diagnostics ({} suppressed by baseline); WHEN overlap: {} static-only, {} llm-only, {} both",
+            diags.len(),
+            suppressed,
+            report.overlap.static_only,
+            report.overlap.llm_only,
+            report.overlap.both
+        );
+        if let Some(cross) = &cross {
+            print!("{}", cross.render_text());
         }
-    })
+    }
+    if diags.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 fn test(project: &Project, json: bool, flags: &CampaignFlags) -> ExitCode {
@@ -593,7 +615,7 @@ fn test(project: &Project, json: bool, flags: &CampaignFlags) -> ExitCode {
     // The identify pass already swept every file with the same model, so
     // the arbitration reuses its sweep instead of asking again.
     let disagreement_hints = if flags.adaptive {
-        let lint = lint_project(project, &LintOptions::default());
+        let lint = lint_with_loops(project, &identified.codeql_loops, &LintOptions::default());
         cross_check(&lint, &identified.llm_sweep).disagreement_methods()
     } else {
         BTreeSet::new()

@@ -1,6 +1,6 @@
 //! Randomized property tests over the language front end, the CFG, the
-//! planner, incremental recompilation, the overlapped `compile_app`, and
-//! the wire and disk decoders, driven by the in-repo seeded
+//! planner, incremental recompilation, the overlapped `compile_app`, the
+//! demand-driven call graph and lint, and the wire and disk decoders, driven by the in-repo seeded
 //! PRNG (`wasabi::util::Rng`) so the suite needs no external framework
 //! and every failure is reproducible from the printed seed.
 //!
@@ -771,7 +771,7 @@ fn may_throw_over_approximates_vm_exceptions() {
             let midx = (0..index.methods.len() as u32)
                 .find(|&m| index.method_display(m) == format!("C.{name}"))
                 .unwrap_or_else(|| panic!("[case {case}] method C.{name} not indexed"));
-            let may_throw = &summaries.methods[midx as usize].may_throw;
+            let may_throw = &summaries.get(midx).may_throw;
             for arg in [0i64, 3, 7, 11] {
                 let mut noop = NoopInterceptor;
                 let mut interp = Interp::new(&project, &mut noop, RunLimits::default());
@@ -1761,6 +1761,389 @@ fn overlapped_compile_app_matches_serial_composition_on_corpus() {
             "{label}: locations found"
         );
     }
+}
+
+// ---- Demand-driven lint ----------------------------------------------------
+
+/// A [`gen_prefilter_program`] (worker classes sharing method names,
+/// factory-returned receivers, retry coordinators, `this` calls) plus
+/// subclasses `S{c}` that override some of `K{c}`'s methods, and a holder
+/// `H` whose field `k` is typed by its initialiser and may be poisoned by
+/// an assignment in another method, so call resolution depends on
+/// whole-program field typing.
+fn gen_demand_program(rng: &mut Rng) -> String {
+    let mut src = gen_prefilter_program(rng, false);
+    let classes = (0..)
+        .take_while(|c| src.contains(&format!("class K{c} ")))
+        .count();
+    let methods = (0..)
+        .take_while(|i| src.contains(&format!("method m{i}(p)")))
+        .count();
+    for c in 0..classes {
+        if rng.chance(0.5) {
+            continue;
+        }
+        src.push_str(&format!("class S{c} extends K{c} {{\n"));
+        for i in 0..methods {
+            if rng.chance(0.5) {
+                let body = gen_throwy_method(rng, i, methods, 2);
+                src.push_str(&format!(" method m{i}(p) {{ {body}\n return 1; }}\n"));
+            }
+        }
+        src.push_str("}\n");
+    }
+    let (a, b) = (rng.below(classes as u64), rng.below(classes as u64));
+    let reset = if rng.chance(0.5) {
+        format!(" method reset() {{ this.k = new K{b}(); }}\n")
+    } else {
+        String::new()
+    };
+    src.push_str(&format!(
+        "class H {{\n field k = new K{a}();\n{reset} method use(p) {{ return this.k.m0(p); }}\n \
+         method made(p) {{ var o = new F().make(p); return o.m0(p); }}\n}}\n"
+    ));
+    src
+}
+
+/// The call graph built from random roots resolves exactly the callee
+/// closure of the roots, gives every resolved method the calls and callees
+/// the whole-program graph gives it, and the summaries solved over it
+/// equal the whole-program summaries on every resolved method.
+#[test]
+fn demand_driven_call_graph_matches_the_whole_program_graph() {
+    use wasabi::analysis::callgraph::CallGraph;
+    use wasabi::analysis::summaries::{AttemptBound, Summaries};
+    use wasabi::lang::project::Project;
+
+    let (mut partial, mut fanned_out) = (0usize, 0usize);
+    for case in 0..120u64 {
+        let mut rng = Rng::new(0xde3a_0000 + case);
+        let source = gen_demand_program(&mut rng);
+        let project = Project::compile("demand", vec![("d.jav", source.clone())])
+            .unwrap_or_else(|e| panic!("[case {case}] compile failed: {e:?}\n{source}"));
+        let n = project.index.methods.len() as u32;
+        let full = CallGraph::build(&project);
+        let bounds = [
+            AttemptBound::Bounded(3),
+            AttemptBound::Capped,
+            AttemptBound::Unbounded,
+        ];
+        let mut local_retry: Vec<(u32, AttemptBound)> = Vec::new();
+        for m in 0..n {
+            if rng.chance(0.2) {
+                local_retry.push((m, *rng.pick(&bounds)));
+            }
+        }
+        let jobs = rng.range(1, 3) as usize;
+        let full_summaries = Summaries::compute(&project, &full, &local_retry, jobs);
+
+        for draw in 0..4 {
+            let label = format!("[case {case} draw {draw}]");
+            let roots: Vec<u32> = (0..rng.range(1, 4))
+                .map(|_| rng.below(n as u64) as u32)
+                .collect();
+            let rooted = CallGraph::from_roots(&project, roots.iter().copied());
+
+            // The callee closure of the roots over the full graph.
+            let mut closure = vec![false; n as usize];
+            let mut stack = roots.clone();
+            while let Some(m) = stack.pop() {
+                if !std::mem::replace(&mut closure[m as usize], true) {
+                    stack.extend(full.callees[m as usize].iter().copied());
+                }
+            }
+            assert_eq!(rooted.resolved, closure, "{label}: resolved set\n{source}");
+            partial += closure.iter().any(|r| !r) as usize;
+
+            let summaries = Summaries::compute(&project, &rooted, &local_retry, jobs);
+            for m in (0..n).filter(|&m| closure[m as usize]) {
+                let at = m as usize;
+                let name = project.index.method_display(m);
+                assert_eq!(
+                    format!("{:?}", rooted.calls[at]),
+                    format!("{:?}", full.calls[at]),
+                    "{label}: calls of {name}\n{source}"
+                );
+                assert_eq!(
+                    rooted.callees[at], full.callees[at],
+                    "{label}: callees of {name}"
+                );
+                assert_eq!(
+                    summaries.get(m),
+                    full_summaries.get(m),
+                    "{label}: summary of {name}\n{source}"
+                );
+                fanned_out += full.calls[at].iter().any(|c| c.targets.len() > 1) as usize;
+            }
+        }
+    }
+    // Not vacuous: roots usually reach part of the program, and resolved
+    // methods make calls with several possible targets.
+    assert!(
+        partial > 300,
+        "only {partial} root sets left methods unresolved"
+    );
+    assert!(
+        fanned_out > 150,
+        "only {fanned_out} resolved methods fan out"
+    );
+}
+
+/// A program of classes `A{c}` (some extending the previous one and
+/// overriding its methods) whose `run{r}` loops catch `T` and retry an
+/// operation, another class's or their own `run`, or a nested loop; the
+/// loop variable gives keyword evidence only sometimes, so the keyword
+/// filter changes which loops count.
+fn gen_amp_program(rng: &mut Rng) -> String {
+    let classes = rng.range(2, 5) as usize;
+    let runs = rng.range(1, 4) as usize;
+    let mut src = String::from("exception T;\n");
+    for c in 0..classes {
+        let parent = if c > 0 && rng.chance(0.3) {
+            format!(" extends A{}", c - 1)
+        } else {
+            String::new()
+        };
+        src.push_str(&format!(
+            "class A{c}{parent} {{\n method op(p) throws T {{ if (p < {c}) {{ throw new T(\"x\"); }} return p; }}\n"
+        ));
+        for r in 0..runs {
+            let var = *rng.pick(&["retry", "retries", "i", "n"]);
+            let cond = if rng.chance(0.6) {
+                format!("{var} < {}", rng.range(2, 6))
+            } else {
+                "true".to_string()
+            };
+            let other = rng.below(runs as u64);
+            let body = match rng.below(5) {
+                0 => "return this.op(p);".to_string(),
+                1 => format!("return this.run{other}(p);"),
+                2 => format!("return new A{}().run{other}(p);", rng.below(classes as u64)),
+                3 => {
+                    let inner = *rng.pick(&["retry", "attempt"]);
+                    format!(
+                        "for (var {inner} = 0; {inner} < 2; {inner} = {inner} + 1) {{ \
+                         try {{ return this.op(p); }} catch (T e2) {{ log(\"inner\"); }} }}\n \
+                         return this.op(p);"
+                    )
+                }
+                _ => format!("return new A{}().op(p);", rng.below(classes as u64)),
+            };
+            let handler = *rng.pick(&["sleep(10);", "log(\"again\");"]);
+            src.push_str(&format!(
+                " method run{r}(p) {{\n  for (var {var} = 0; {cond}; {var} = {var} + 1) {{\n   \
+                 try {{ {body} }} catch (T e) {{ {handler} }}\n  }}\n  return null;\n }}\n"
+            ));
+        }
+        src.push_str("}\n");
+    }
+    src
+}
+
+/// The retry-loop query patch-site resolution used to run: the loops
+/// under `options`, then, with the keyword filter on, the loops only the
+/// relaxed filter finds.
+fn strict_then_relaxed_loops(
+    project: &wasabi::lang::project::Project,
+    options: &wasabi::analysis::loops::LoopQueryOptions,
+) -> Vec<wasabi::analysis::loops::RetryLoop> {
+    use wasabi::analysis::loops::{find_retry_loops, LoopQueryOptions};
+    use wasabi::analysis::resolve::ProjectIndex;
+    let index = ProjectIndex::build(project);
+    let mut loops = find_retry_loops(&index, options);
+    if options.keyword_filter {
+        let relaxed = LoopQueryOptions {
+            keyword_filter: false,
+            ..options.clone()
+        };
+        for rl in find_retry_loops(&index, &relaxed) {
+            if !loops
+                .iter()
+                .any(|have| have.file == rl.file && have.loop_id == rl.loop_id)
+            {
+                loops.push(rl);
+            }
+        }
+    }
+    loops
+}
+
+/// Every W001, W002 and A001 diagnostic of `lint` resolves over `loops`
+/// (the lint run's own retry loops), to the same sites the strict-then-
+/// relaxed search finds. Returns how many A001 findings it checked.
+fn assert_sites_resolve_over_own_loops(
+    label: &str,
+    project: &wasabi::lang::project::Project,
+    lint: &wasabi::analysis::checkers::LintResult,
+    loops: &[wasabi::analysis::loops::RetryLoop],
+    options: &wasabi::analysis::loops::LoopQueryOptions,
+) -> usize {
+    use wasabi::analysis::patchsite::{amp_sites_in, patch_site_in};
+    let old = strict_then_relaxed_loops(project, options);
+    let mut amps = 0;
+    for diag in &lint.diagnostics {
+        let fingerprint = diag.fingerprint();
+        match diag.code {
+            "A001" => {
+                let got = amp_sites_in(project, loops, diag);
+                assert!(got.is_some(), "{label}: {fingerprint} does not resolve");
+                assert_eq!(
+                    got,
+                    amp_sites_in(project, &old, diag),
+                    "{label}: {fingerprint}"
+                );
+                amps += 1;
+            }
+            "W001" | "W002" => {
+                let got = patch_site_in(project, loops, diag);
+                assert!(got.is_some(), "{label}: {fingerprint} does not resolve");
+                assert_eq!(
+                    got,
+                    patch_site_in(project, &old, diag),
+                    "{label}: {fingerprint}"
+                );
+            }
+            _ => {}
+        }
+    }
+    amps
+}
+
+/// Lint over the loops it finds itself resolves every retry finding to a
+/// loop without a relaxed second query, on random amplification programs
+/// under both keyword-filter settings: the sites equal what the old
+/// strict-then-relaxed search found.
+#[test]
+fn strict_site_resolution_always_succeeds() {
+    use wasabi::analysis::checkers::{lint_with_loops, LintOptions};
+    use wasabi::analysis::loops::{find_retry_loops, LoopQueryOptions};
+    use wasabi::analysis::resolve::ProjectIndex;
+    use wasabi::lang::project::Project;
+
+    let (mut amps, mut relaxed_extra) = (0usize, 0usize);
+    for case in 0..200u64 {
+        let mut rng = Rng::new(0x517e_0000 + case);
+        let source = gen_amp_program(&mut rng);
+        let project = Project::compile("amp", vec![("a.jav", source.clone())])
+            .unwrap_or_else(|e| panic!("[case {case}] compile failed: {e:?}\n{source}"));
+        for keyword_filter in [true, false] {
+            let options = LintOptions {
+                loops: LoopQueryOptions {
+                    keyword_filter,
+                    ..LoopQueryOptions::default()
+                },
+                ..LintOptions::default()
+            };
+            let loops = find_retry_loops(&ProjectIndex::build(&project), &options.loops);
+            let lint = lint_with_loops(&project, &loops, &options);
+            let label = format!("[case {case} keyword_filter {keyword_filter}]");
+            amps += assert_sites_resolve_over_own_loops(
+                &label,
+                &project,
+                &lint,
+                &loops,
+                &options.loops,
+            );
+            relaxed_extra +=
+                (strict_then_relaxed_loops(&project, &options.loops).len() > loops.len()) as usize;
+        }
+    }
+    // Not vacuous: amplification findings occur, and the relaxed query
+    // does find loops the strict one does not.
+    assert!(amps > 100, "only {amps} A001 findings");
+    assert!(
+        relaxed_extra > 50,
+        "only {relaxed_extra} programs with relaxed-only loops"
+    );
+}
+
+/// Each repair state's retry loops stand in for lint's own query: on the
+/// tiny corpus apps (amplification seeds included), and after each patch
+/// of a chain of accepted template patches, lint over the static
+/// identification's loops equals `lint_project` (diagnostics and loop
+/// facts), and every W001, W002 and A001 diagnostic resolves over those
+/// loops to the site the old strict-then-relaxed search found.
+#[test]
+fn lint_over_identified_loops_matches_lint_project_on_corpus() {
+    use wasabi::analysis::checkers::{lint_project, lint_with_loops, LintOptions};
+    use wasabi::analysis::patchsite::{amp_sites_in, patch_site_in};
+    use wasabi::core::{identify, SimulatedLlm};
+    use wasabi::corpus::spec::{paper_apps, Scale};
+    use wasabi::corpus::synth::generate_app_with_amp;
+    use wasabi::lang::project::Project;
+    use wasabi::repair::{synthesize, templates_for};
+
+    let (mut states, mut amps) = (0usize, 0usize);
+    for spec in paper_apps() {
+        let app = generate_app_with_amp(&spec, Scale::Tiny);
+        let seed = app.spec.seed;
+        let mut project =
+            Project::compile(app.spec.name, app.files.clone()).expect("corpus compiles");
+        let lint_opts = LintOptions {
+            ifratio: false,
+            ..LintOptions::default()
+        };
+        for step in 0..6 {
+            let label = format!("[{} step {step}]", spec.short);
+            let identified = identify(&project, &mut SimulatedLlm::with_seed(seed));
+            let reused = lint_with_loops(&project, &identified.codeql_loops, &lint_opts);
+            let fresh = lint_project(&project, &lint_opts);
+            assert_eq!(
+                reused.diagnostics, fresh.diagnostics,
+                "{label}: diagnostics"
+            );
+            assert_eq!(
+                format!("{:?}", reused.loops),
+                format!("{:?}", fresh.loops),
+                "{label}: loop facts"
+            );
+            amps += assert_sites_resolve_over_own_loops(
+                &label,
+                &project,
+                &reused,
+                &identified.codeql_loops,
+                &lint_opts.loops,
+            );
+            states += 1;
+
+            // Accept the first template patch that compiles, as repair
+            // would, rotating through the diagnostics as the chain grows.
+            let targets: Vec<_> = reused
+                .diagnostics
+                .iter()
+                .filter(|d| matches!(d.code, "W001" | "W002" | "A001"))
+                .collect();
+            let mut next = None;
+            for diag in targets.iter().cycle().skip(step).take(targets.len()) {
+                let loops = &identified.codeql_loops;
+                let sites = match diag.code {
+                    "A001" => amp_sites_in(&project, loops, diag).map(|(o, i)| (o, Some(i))),
+                    _ => patch_site_in(&project, loops, diag).map(|site| (site, None)),
+                };
+                let Some((site, inner)) = sites else { continue };
+                for template in templates_for(diag.code) {
+                    let Ok(patch) = synthesize(*template, &project, &site, inner.as_ref()) else {
+                        continue;
+                    };
+                    if let Ok(patched) =
+                        project.with_file_replaced(&patch.path, patch.source.as_str())
+                    {
+                        next = Some(patched);
+                        break;
+                    }
+                }
+                if next.is_some() {
+                    break;
+                }
+            }
+            match next {
+                Some(patched) => project = patched,
+                None => break,
+            }
+        }
+    }
+    assert!(states > 40, "only {states} repair states checked");
+    assert!(amps > 20, "only {amps} A001 findings resolved");
 }
 
 // ---- Decoder totality ------------------------------------------------------
